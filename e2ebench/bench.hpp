@@ -53,10 +53,10 @@ struct Workload {
   std::vector<Item> items;
 };
 
-/// Build the workload's inputs from `seed`.  `root` is the repository root
-/// (the corpus is read from root/data/benchmarks).
-Workload make_workload(const std::string& name, std::uint64_t seed,
-                       const std::string& root);
+/// Build the workload's inputs; they are the same for every --seed.
+/// `root` is the repository root (the corpus is read from
+/// root/data/benchmarks).
+Workload make_workload(const std::string& name, const std::string& root);
 
 /// Options of one flow over `max_literals` at `threads`, with the
 /// `sitm batch` defaults (lint and check on).

@@ -8,7 +8,8 @@
 // reports the per-layer metrics (the trace is written under --out).  Every
 // output is checked outside the timed region.  The last line of stdout is
 // one JSON object: {"correct", "attempted", "failed", "metrics"}.  The exit
-// code is 1 when any output failed its check, 2 on a usage or set-up error.
+// code is 1 when any output failed its check (or, traced, when the spans do
+// not reconcile with the flow's stage times), 2 on a usage or set-up error.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 #include "bench.hpp"
@@ -30,8 +32,10 @@ using namespace sitm;
 
 /// Zipf exponent of the serve-zipf request mix.
 constexpr double kZipfExponent = 1.0;
-/// Set-ups per run; setup_s is their median.
-constexpr int kSetupReps = 51;
+/// Set-up is timed in blocks of back-to-back set-ups, each block at least
+/// kSetupBlockMs of set-up time, one block after every pass or serve
+/// segment; setup_s is the median over blocks of the time per set-up.
+constexpr double kSetupBlockMs = 50;
 /// Fixed seed of the serve-zipf popularity order.
 constexpr std::uint64_t kPopularitySeed = 0x5eed;
 /// Share of the pool's distinct results the serve cache can hold.
@@ -40,9 +44,13 @@ constexpr double kCacheShare = 0.4;
 constexpr int kServeClients = 2;
 /// Traced-vs-StageReport reconciliation bound: the spans of every stage
 /// holding at least kReconcileMinShare of the flow time, and of the whole
-/// flow, must match the stage wall times within this relative deviation.
+/// flow, must match the stage wall times within this relative deviation,
+/// or the run is rejected.
 constexpr double kReconcileBound = 0.25;
 constexpr double kReconcileMinShare = 0.05;
+/// Traced rounds of a smoke run: one pass can deviate by up to ~20%, a few
+/// summed passes stay well inside kReconcileBound.
+constexpr std::size_t kSmokeRounds = 3;
 
 struct Args {
   std::string workload;
@@ -76,7 +84,6 @@ struct RunState {
 struct Reference {
   Facts facts;
   std::string fragment;  ///< the serve payload's "netlist" object
-  std::size_t payload_bytes = 0;
 };
 
 void shuffle(std::vector<std::size_t>& v, Rng& rng) {
@@ -114,19 +121,12 @@ std::vector<Reference> reference_pass(const Workload& w, RunState& st) {
       const std::string why = check_output(in, ctx);
       if (!why.empty()) st.reject(item.name + ": " + why);
     }
-    // The serve engine's payload for this item, built the way the engine
-    // builds it: its size sizes the cache, its netlist member is what every
-    // cold serve response must carry.
+    // The netlist member every cold serve response must carry.
     Json netlist = Json::object();
     netlist.set("sg", Json(ctx.emitted_sg));
     netlist.set("verilog", Json(ctx.emitted_verilog));
     netlist.set("eqn", Json(ctx.emitted_eqn));
     ref.fragment = netlist.dump(0);
-    Json payload = Json::object();
-    payload.set("ok", Json(report.ok));
-    payload.set("report", report.to_json());
-    payload.set("netlist", std::move(netlist));
-    ref.payload_bytes = payload.dump(0).size();
     refs.push_back(std::move(ref));
   }
   return refs;
@@ -150,13 +150,31 @@ Metric tail_metric(const std::vector<double>& lat, double pct) {
   return {"latency_ms_tail", 0, "ms", "no samples"};
 }
 
+/// One block of set-ups: generate and parse the inputs (and, for serve,
+/// start an engine).  Returns seconds per set-up.  Tearing down is not
+/// timed: stopping the engine's workers waits on the OS scheduler's
+/// wake-ups, which swing with host load.
+double setup_block(const Args& a) {
+  double busy_ms = 0;
+  int reps = 0;
+  do {
+    const auto t0 = Clock::now();
+    const Workload fresh = make_workload(a.workload, a.root);
+    std::optional<serve::ServeEngine> engine;
+    if (a.workload == "serve-zipf")
+      engine.emplace(serve_options(std::size_t{64} << 20));
+    busy_ms += ms_between(t0, Clock::now());
+    ++reps;
+  } while (busy_ms < kSetupBlockMs);
+  return busy_ms / 1000 / reps;
+}
+
 // ---- flow workloads -------------------------------------------------------
 
 struct FlowSamples {
   std::vector<double> latency;
   std::vector<double> pass_ms;   ///< summed flow latencies of each pass
   std::vector<double> pass_p50;  ///< median flow latency of each pass
-  std::size_t mapped = 0;
 };
 
 /// One untraced flow of `item`, checked against its reference.  Returns the
@@ -182,12 +200,14 @@ FlowReport timed_flow(const Workload& w, std::size_t idx,
     failed = true;
   }
   if (failed) ++st.failed;
-  if (f.outcome == Outcome::kMapped) ++s.mapped;
   return report;
 }
 
+/// Timed passes for `a.seconds`, with a set-up block after every pass so
+/// set-up is sampled across the same stretch of host time as the flows.
 FlowSamples flow_window(const Workload& w, const std::vector<Reference>& refs,
-                        const Args& a, RunState& st) {
+                        const Args& a, RunState& st,
+                        std::vector<double>& setup_s) {
   FlowSamples s;
   Rng rng(mix_seed(a.seed, 1));
   std::vector<std::size_t> order(w.items.size());
@@ -202,6 +222,7 @@ FlowSamples flow_window(const Workload& w, const std::vector<Reference>& refs,
         s.latency.begin() + static_cast<std::ptrdiff_t>(first), s.latency.end());
     s.pass_ms.push_back(std::accumulate(pass.begin(), pass.end(), 0.0));
     s.pass_p50.push_back(median(pass));
+    setup_s.push_back(setup_block(a));
   } while (!a.smoke && ms_between(start, Clock::now()) < a.seconds * 1000);
   return s;
 }
@@ -210,9 +231,8 @@ FlowSamples flow_window(const Workload& w, const std::vector<Reference>& refs,
 
 struct ServeSamples {
   std::vector<double> latency, hit_us, miss_ms, queue_wait_ms;
-  std::size_t mapped = 0;
   double wall_ms = 0;
-  /// Requests completed in each whole second of the window.
+  /// Requests completed in each whole second of each segment.
   std::vector<double> per_second;
 };
 
@@ -326,7 +346,6 @@ class ServeClients {
     ++st.attempted;
     if (failed) ++st.failed;
     s->latency.push_back(rec.ms);
-    if (ok_status) ++s->mapped;
     if (rec.resp.cached) {
       s->hit_us.push_back(rec.ms * 1000);
     } else if (ok_status) {
@@ -396,16 +415,18 @@ class ServeClients {
     for (int c = 0; c < kServeClients; ++c) threads.emplace_back(client, c);
     for (auto& t : threads) t.join();
     const double wall_ms = ms_between(start, Clock::now());
+    const std::size_t base = s ? s->per_second.size() : 0;
     if (s) {
       s->wall_ms += wall_ms;
-      s->per_second.assign(static_cast<std::size_t>(wall_ms / 1000), 0);
+      s->per_second.resize(base + static_cast<std::size_t>(wall_ms / 1000));
     }
     for (int c = 0; c < kServeClients; ++c) {
       if (!errors[c].empty()) st.reject("serve client: " + errors[c]);
       for (const Record& rec : records[c]) {
         account(rec, st, s);
         const auto second = static_cast<std::size_t>(rec.done_ms / 1000);
-        if (s && second < s->per_second.size()) ++s->per_second[second];
+        if (s && base + second < s->per_second.size())
+          ++s->per_second[base + second];
       }
     }
     check_hits(st);
@@ -418,20 +439,23 @@ class ServeClients {
   std::vector<std::pair<std::size_t, std::size_t>> hits_;
 };
 
-std::size_t cache_budget(const std::vector<Reference>& refs) {
-  // Charged bytes per entry as the cache charges them: the power-of-two
-  // slab block plus the fixed entry overhead.
-  std::size_t total = 0, largest = 0;
-  for (const Reference& r : refs) {
-    std::size_t block = serve::SlabPool::kMinClass;
-    while (block < r.payload_bytes) block <<= 1;
-    const std::size_t charged = block + serve::FlowCache::kEntryOverhead;
+/// kCacheShare of the bytes the engine charges for all the pool's results,
+/// and at least two of the largest per shard.  The charges are read from
+/// the engine's own stats, sending each key in turn to an engine whose
+/// cache holds them all.
+std::size_t cache_budget(const Workload& w) {
+  serve::ServeEngine engine(serve_options(std::size_t{1} << 30));
+  double total = 0, largest = 0;
+  for (const Item& item : w.items) {
+    const double before = engine_stats(engine).bytes_live;
+    engine.handle_line(item.line);
+    const double charged = engine_stats(engine).bytes_live - before;
     total += charged;
     largest = std::max(largest, charged);
   }
-  const auto shards = static_cast<std::size_t>(serve_options(0).cache_shards);
-  return std::max(static_cast<std::size_t>(kCacheShare * static_cast<double>(total)),
-                  shards * 2 * largest);
+  const double shards = serve_options(0).cache_shards;
+  return static_cast<std::size_t>(
+      std::max(kCacheShare * total, shards * 2 * largest));
 }
 
 // ---- traced run -----------------------------------------------------------
@@ -514,7 +538,9 @@ TracedFlows traced_flows(const Workload& w, const std::vector<Reference>& refs,
       const ReplayPass one = replay_pass(w, refs, order, 1, tracer, st);
       t.map_ms_1thread.push_back(one.layer_ms[kMap] + one.layer_ms[kMapNetlist]);
     }
-    if (a.smoke || ms_between(start, Clock::now()) >= seconds * 1000) break;
+    if (a.smoke ? round + 1 >= kSmokeRounds
+                : ms_between(start, Clock::now()) >= seconds * 1000)
+      break;
   }
   return t;
 }
@@ -560,7 +586,8 @@ double pass_median(const std::vector<ReplayPass>& v,
 
 std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
                                   const ServeLayer& sl,
-                                  std::vector<std::string>& notes) {
+                                  std::vector<std::string>& notes,
+                                  RunState& st) {
   const auto layers = [&](std::initializer_list<int> ls) {
     return pass_median(t.replay, [&](const ReplayPass& p) {
       double sum = 0;
@@ -616,11 +643,12 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
                   wall_stage[s]);
     detail += buf;
   }
-  notes.push_back(std::string("reconciliation (spans vs StageReport::wall_ms, "
-                              "bound ") +
-                  std::to_string(kReconcileBound) + "): " +
-                  (worst <= kReconcileBound ? "ok" : "OUT OF BOUND") + ", " +
-                  detail);
+  const std::string verdict =
+      std::string("reconciliation (spans vs StageReport::wall_ms, bound ") +
+      std::to_string(kReconcileBound) + "): ";
+  notes.push_back(verdict + (worst <= kReconcileBound ? "ok" : "OUT OF BOUND") +
+                  ", " + detail);
+  if (worst > kReconcileBound) st.reject(verdict + detail);
 
   const ServeSamples& ss = sl.samples;
   const double hits = sl.after.hits - sl.before.hits;
@@ -711,37 +739,39 @@ int run(const Args& a) {
   std::vector<std::string> notes;
   const bool serve_wl = a.workload == "serve-zipf";
 
-  const Workload w = make_workload(a.workload, a.seed, a.root);
+  const Workload w = make_workload(a.workload, a.root);
   const std::vector<Reference> refs = reference_pass(w, st);
-  // Set-up: generate and parse the inputs (and, for serve, start an
-  // engine), several times; setup_s is the median.  Timed after the
-  // reference runs, so a CPU still waking up from idle does not count.
-  std::vector<double> setup_s;
-  for (int rep = 0; rep < (a.smoke ? 1 : kSetupReps); ++rep) {
-    const auto t0 = Clock::now();
-    const Workload fresh = make_workload(a.workload, a.seed, a.root);
-    if (serve_wl) serve::ServeEngine engine(serve_options(std::size_t{64} << 20));
-    setup_s.push_back(ms_between(t0, Clock::now()) / 1000);
-  }
+  const std::size_t cache_bytes = serve_wl ? cache_budget(w) : 0;
 
-  double literals = 0, inserted = 0;
+  // Quality counts over the distinct inputs: every timed operation must
+  // reproduce its reference, so these hold for every operation too.
+  double literals = 0, inserted = 0, mapped = 0;
   for (const Reference& r : refs) {
     literals += r.facts.literals;
     inserted += r.facts.inserted;
+    if (r.facts.outcome == Outcome::kMapped) ++mapped;
   }
+  const double mapped_share = mapped / static_cast<double>(refs.size());
   reset_peak_rss();
 
   if (!a.trace) {
-    std::vector<double> latency;
-    double ops_per_s = 0, p50 = 0, mapped_share = 0;
+    std::vector<double> latency, setup_s;
+    double ops_per_s = 0, p50 = 0;
     if (serve_wl) {
-      serve::ServeEngine engine(serve_options(cache_budget(refs)));
+      serve::ServeEngine engine(serve_options(cache_bytes));
       ServeClients clients(w, refs);
       // Warm-up, not measured: the cache reaches its steady state.
       clients.closed_loop(engine, a.seed ^ 0x5a5a, 0, a.smoke ? 10 : 2 * w.items.size(),
                          nullptr, st, nullptr);
+      // The window runs in segments of about a second, each followed by a
+      // set-up block.
       ServeSamples s;
-      clients.closed_loop(engine, a.seed, a.seconds, a.smoke ? 40 : 0, nullptr, st, &s);
+      const int segments = a.smoke ? 1 : std::max(1, static_cast<int>(a.seconds));
+      for (int seg = 0; seg < segments; ++seg) {
+        clients.closed_loop(engine, mix_seed(a.seed, 200 + static_cast<std::uint64_t>(seg)),
+                            a.seconds / segments, a.smoke ? 40 : 0, nullptr, st, &s);
+        setup_s.push_back(setup_block(a));
+      }
       latency = s.latency;
       // The median second is robust to bursts of contention on a shared
       // host; a smoke run has no whole seconds to take it over.
@@ -749,13 +779,12 @@ int run(const Args& a) {
                       ? median(s.per_second)
                       : static_cast<double>(s.latency.size()) / (s.wall_ms / 1000);
       p50 = percentile(latency, 50);
-      mapped_share = static_cast<double>(s.mapped) / static_cast<double>(s.latency.size());
       notes.push_back("serve: " + std::to_string(kServeClients) +
                       " closed-loop clients, " + std::to_string(w.items.size()) +
-                      " keys, cache budget " +
-                      std::to_string(cache_budget(refs)) + " bytes");
+                      " keys, cache budget " + std::to_string(cache_bytes) +
+                      " bytes");
     } else {
-      const FlowSamples s = flow_window(w, refs, a, st);
+      const FlowSamples s = flow_window(w, refs, a, st, setup_s);
       latency = s.latency;
       // Whole passes weigh every input alike; the median pass is robust
       // to bursts of contention on a shared host.
@@ -763,7 +792,6 @@ int run(const Args& a) {
       // The pooled median of a pass falls between two inputs' latencies and
       // jumps with their extremes; the median over passes does not.
       p50 = median(s.pass_p50);
-      mapped_share = static_cast<double>(s.mapped) / static_cast<double>(s.latency.size());
       notes.push_back(std::to_string(s.pass_ms.size()) + " passes over " +
                       std::to_string(w.items.size()) + " inputs at " +
                       std::to_string(w.threads) + " thread(s)");
@@ -778,10 +806,11 @@ int run(const Args& a) {
         tail_metric(latency, w.tail_pct),
         {"ok_share", ok_share, "share", "operations completed and checked"},
         {"setup_s", median(setup_s), "s",
-         "median of " + std::to_string(setup_s.size()) + " set-ups"},
+         "median per set-up over " + std::to_string(setup_s.size()) +
+             " blocks, one after each pass or segment"},
         {"peak_rss_mb", peak_rss_mb(), "MB", "during the measurement"},
         {"literals_total", literals, "count", "sum over distinct inputs"},
-        {"mapped_share", mapped_share, "share", "of operations"},
+        {"mapped_share", mapped_share, "share", "of the distinct inputs"},
         {"inserted_signals_total", inserted, "count", "sum over distinct inputs"},
     };
   } else {
@@ -790,7 +819,7 @@ int run(const Args& a) {
     TracedFlows t;
     if (serve_wl) {
       t = traced_flows(w, refs, a, a.seconds / 2, tracer, st);
-      serve::ServeEngine engine(serve_options(cache_budget(refs)));
+      serve::ServeEngine engine(serve_options(cache_bytes));
       ServeClients clients(w, refs);
       clients.closed_loop(engine, a.seed ^ 0x5a5a, 0, a.smoke ? 10 : 2 * w.items.size(),
                          nullptr, st, nullptr);
@@ -802,7 +831,7 @@ int run(const Args& a) {
       t = traced_flows(w, refs, a, a.seconds, tracer, st);
       sl = serve_probe(w, refs, tracer, st);
     }
-    metrics = layer_metrics(w, t, sl, notes);
+    metrics = layer_metrics(w, t, sl, notes, st);
     std::filesystem::create_directories(a.out);
     const std::string path = a.out + "/trace-" + a.workload + "-seed" +
                              std::to_string(a.seed) + ".json";

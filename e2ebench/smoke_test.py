@@ -8,8 +8,9 @@ asserts that
   * the result line has exactly the keys correct/attempted/failed/metrics,
   * the correctness check ran and passed,
   * the untraced run reports every end-to-end metric with its unit,
-  * the traced run reports every per-layer metric with its unit, reports the
-    reconciliation against StageReport times and writes its trace file.
+  * the traced run reports every per-layer metric with its unit, reconciles
+    its spans with StageReport times within the bound and writes its trace
+    file.
 """
 
 import json
@@ -64,8 +65,10 @@ class SmokeTest(unittest.TestCase):
                 self.assertEqual(metrics["ok_share"]["value"], 1)
             with self.subTest(workload=name, trace=1):
                 lines, metrics = self.check_result(name, 1, SPEC["per_layer"])
-                self.assertTrue(any(l.startswith("note: reconciliation")
-                                    for l in lines))
+                recon = [l for l in lines
+                         if l.startswith("note: reconciliation")]
+                self.assertEqual(len(recon), 1, "\n".join(lines))
+                self.assertIn("): ok,", recon[0])
                 self.assertGreater(metrics["map.ms"]["value"], 0)
                 trace_file = os.path.join(ROOT, ".bench_build", "e2e-out",
                                           "trace-%s-seed1.json" % name)
