@@ -44,12 +44,13 @@ constexpr double kCacheShare = 0.4;
 constexpr int kServeClients = 2;
 /// Traced-vs-StageReport reconciliation bound: the spans of every stage
 /// holding at least kReconcileMinShare of the flow time, and of the whole
-/// flow, must match the stage wall times within this relative deviation,
-/// or the run is rejected.
+/// flow, must match the stage wall times within this relative deviation
+/// (median over rounds), or the run is rejected.
 constexpr double kReconcileBound = 0.25;
 constexpr double kReconcileMinShare = 0.05;
-/// Traced rounds of a smoke run: one pass can deviate by up to ~20%, a few
-/// summed passes stay well inside kReconcileBound.
+/// Least traced rounds of a smoke run, which also runs for its --seconds:
+/// one round can deviate by up to ~20%, the median of several seconds of
+/// rounds stays well inside kReconcileBound.
 constexpr std::size_t kSmokeRounds = 3;
 
 struct Args {
@@ -538,8 +539,8 @@ TracedFlows traced_flows(const Workload& w, const std::vector<Reference>& refs,
       const ReplayPass one = replay_pass(w, refs, order, 1, tracer, st);
       t.map_ms_1thread.push_back(one.layer_ms[kMap] + one.layer_ms[kMapNetlist]);
     }
-    if (a.smoke ? round + 1 >= kSmokeRounds
-                : ms_between(start, Clock::now()) >= seconds * 1000)
+    if ((!a.smoke || round + 1 >= kSmokeRounds) &&
+        ms_between(start, Clock::now()) >= seconds * 1000)
       break;
   }
   return t;
@@ -617,30 +618,42 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
           ? 1.0
           : median(t.map_ms_1thread) / (w.threads * map_ms);
 
-  // Reconciliation: summed over all passes, per stage and in total.
-  double span_stage[kNumStages] = {}, wall_stage[kNumStages] = {};
-  for (const ReplayPass& p : t.replay)
-    for (int l = 0; l < kNumLayers; ++l)
-      if (const auto s = layer_stage(l))
-        span_stage[static_cast<int>(*s)] += p.layer_ms[l];
-  for (const FlowPass& p : t.flows)
-    for (int s = 0; s < kNumStages; ++s) wall_stage[s] += p.stage_ms[s];
+  // Reconciliation, per stage and in total.  Each round pairs a traced and
+  // an untraced pass over the same order; the deviation is how far the
+  // median over rounds of span time ÷ stage wall time lies from 1, so a
+  // swing in host speed during one side of one round does not decide it.
+  // `stage` == kNumStages stands for the whole flow; the sums over all
+  // rounds come back in `span` and `wall`.
+  const auto reconcile = [&](int stage, double& span, double& wall) {
+    std::vector<double> ratios;
+    span = wall = 0;
+    for (std::size_t r = 0; r < t.replay.size(); ++r) {
+      double sp = 0, wa = 0;
+      for (int l = 0; l < kNumLayers; ++l)
+        if (const auto s = layer_stage(l);
+            s && (stage == kNumStages || static_cast<int>(*s) == stage))
+          sp += t.replay[r].layer_ms[l];
+      for (int s = 0; s < kNumStages; ++s)
+        if (stage == kNumStages || s == stage) wa += t.flows[r].stage_ms[s];
+      span += sp;
+      wall += wa;
+      if (wa > 0) ratios.push_back(sp / wa);
+    }
+    return ratios.empty() ? 0.0 : std::abs(median(ratios) - 1);
+  };
   double span_total = 0, wall_total = 0;
+  double worst = reconcile(kNumStages, span_total, wall_total);
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "total %.2f vs %.2f ms (dev %.3f)", span_total,
+                wall_total, worst);
+  std::string detail = buf;
   for (int s = 0; s < kNumStages; ++s) {
-    span_total += span_stage[s];
-    wall_total += wall_stage[s];
-  }
-  double worst = std::abs(span_total - wall_total) / wall_total;
-  std::string detail = "total " + std::to_string(span_total) + " vs " +
-                       std::to_string(wall_total) + " ms";
-  for (int s = 0; s < kNumStages; ++s) {
-    if (wall_stage[s] < kReconcileMinShare * wall_total) continue;
-    const double dev = std::abs(span_stage[s] - wall_stage[s]) / wall_stage[s];
+    double span = 0, wall = 0;
+    const double dev = reconcile(s, span, wall);
+    if (wall < kReconcileMinShare * wall_total) continue;
     worst = std::max(worst, dev);
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "; %s %.2f vs %.2f ms",
-                  stage_name(static_cast<Stage>(s)), span_stage[s],
-                  wall_stage[s]);
+    std::snprintf(buf, sizeof buf, "; %s %.2f vs %.2f ms (dev %.3f)",
+                  stage_name(static_cast<Stage>(s)), span, wall, dev);
     detail += buf;
   }
   const std::string verdict =

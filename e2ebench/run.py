@@ -47,7 +47,7 @@ def main():
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
-                        help="one pass per workload (for the smoke test)")
+                        help="one pass (traced: a few rounds) for the smoke test")
     args = parser.parse_args()
 
     if not build():

@@ -29,8 +29,11 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
 
 
 def run(workload, trace):
+    # A traced smoke run replays for at least its --seconds, so its spans
+    # reconcile with the stage times despite short swings in host speed.
+    seconds = 6 if trace else 1
     cmd = [sys.executable, RUN, "--workload", workload, "--seed", "1",
-           "--seconds", "1", "--trace", str(trace), "--smoke"]
+           "--seconds", str(seconds), "--trace", str(trace), "--smoke"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           timeout=900)
     lines = proc.stdout.strip().splitlines()
