@@ -117,11 +117,13 @@ Workload make_workload(const std::string& name, const std::string& root) {
     w.inputs.push_back(generated("combo5_3", bench::make_combo(5, 3)));
     w.inputs.push_back(generated("combo6_3", bench::make_combo(6, 3)));
     w.inputs.push_back(generated("combo6_4", bench::make_combo(6, 4)));
-    // Half the cores, at most 4: on a shared host a co-tenant slowing one
-    // core stalls every mapper round whose barrier waits on it, and with
-    // every core in use that hits each round (measured: 2.5x swings at
-    // 4 threads on 4 cores while 1-thread runs held steady).
-    w.threads = std::clamp(host_nproc() / 2, 1, 4);
+    // Half the cores, at least 2 and at most 4: on a shared host a
+    // co-tenant slowing one core stalls every mapper round whose barrier
+    // waits on it, and with every core in use that hits each round
+    // (measured: 2.5x swings at 4 threads on 4 cores while 1-thread runs
+    // held steady).  The floor keeps util/parallel doing the work on 2- and
+    // 3-core hosts.
+    w.threads = std::clamp(host_nproc() / 2, 2, 4);
     w.tail_pct = 75;
   } else if (name == "wide-lib") {
     // tree(4) is left out on purpose: see NOTES.md (known defect).
