@@ -603,15 +603,28 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
   const double flow_ms =
       pass_median(t.replay, [](const ReplayPass& p) { return p.flow_ms; });
   const double map_ms = layers({kMap, kMapNetlist});
-  std::vector<double> untraced;
-  for (const FlowPass& p : t.flows) untraced.push_back(p.total_ms);
-  const double untraced_ms = median(untraced);
-  const double spans_ms = pass_median(t.replay, [](const ReplayPass& p) {
-    double sum = 0;
-    for (int l = 0; l < kNumLayers; ++l)
-      if (layer_stage(l)) sum += p.layer_ms[l];
-    return sum;
-  });
+  // Overheads compare the traced and the untraced pass of each round and
+  // take the median over rounds: pairing cancels host drift slower than a
+  // round, which the difference of two medians does not.
+  const auto round_median = [&](double (*f)(const ReplayPass&, const FlowPass&)) {
+    std::vector<double> xs;
+    for (std::size_t r = 0; r < t.replay.size(); ++r)
+      xs.push_back(f(t.replay[r], t.flows[r]));
+    return median(xs);
+  };
+  const double flow_overhead_ms =
+      round_median([](const ReplayPass& p, const FlowPass& f) {
+        double spans = 0;
+        for (int l = 0; l < kNumLayers; ++l)
+          if (layer_stage(l)) spans += p.layer_ms[l];
+        return f.total_ms - spans;
+      });
+  const double trace_overhead_ms = round_median(
+      [](const ReplayPass& p, const FlowPass& f) { return p.flow_ms - f.total_ms; });
+  const double trace_overhead_share =
+      round_median([](const ReplayPass& p, const FlowPass& f) {
+        return p.flow_ms / f.total_ms - 1;
+      });
   const double resyn = count(&LayerCounts::resyntheses);
   const double efficiency =
       t.map_ms_1thread.empty()
@@ -690,7 +703,7 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
       {"decomp.ms", layers({kDecomp}), "ms", ""},
       {"stg.load_ms", layers({kLoad}), "ms", "parse; outside the timed path"},
       {"observe.ms", layers({kObserve}), "ms", "correctness check only"},
-      {"flow.overhead_ms", untraced_ms - spans_ms, "ms",
+      {"flow.overhead_ms", flow_overhead_ms, "ms",
        "Flow total minus the replayed layer calls"},
       {"serve.hit_us", median(ss.hit_us), "us", ""},
       {"serve.miss_ms", median(ss.miss_ms), "ms", ""},
@@ -701,9 +714,9 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
       {"serve.bytes_live", sl.after.bytes_live, "bytes", ""},
       {"sched.steals", sl.after.steals - sl.before.steals, "count", ""},
       {"sched.executed", sl.after.executed - sl.before.executed, "count", ""},
-      {"trace.overhead_ms", flow_ms - untraced_ms, "ms",
+      {"trace.overhead_ms", trace_overhead_ms, "ms",
        "traced replay minus untraced flow, per pass"},
-      {"trace.overhead_share", (flow_ms - untraced_ms) / untraced_ms, "share", ""},
+      {"trace.overhead_share", trace_overhead_share, "share", ""},
       {"trace.reconcile_dev", worst, "share",
        "max relative deviation, bound " + std::to_string(kReconcileBound)},
   };
