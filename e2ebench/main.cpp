@@ -605,7 +605,7 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
   const double map_ms = layers({kMap, kMapNetlist});
   // Overheads compare the traced and the untraced pass of each round and
   // take the median over rounds: pairing cancels host drift slower than a
-  // round, which the difference of two medians does not.
+  // round.
   const auto round_median = [&](double (*f)(const ReplayPass&, const FlowPass&)) {
     std::vector<double> xs;
     for (std::size_t r = 0; r < t.replay.size(); ++r)
@@ -715,7 +715,7 @@ std::vector<Metric> layer_metrics(const Workload& w, const TracedFlows& t,
       {"sched.steals", sl.after.steals - sl.before.steals, "count", ""},
       {"sched.executed", sl.after.executed - sl.before.executed, "count", ""},
       {"trace.overhead_ms", trace_overhead_ms, "ms",
-       "traced replay minus untraced flow, per pass"},
+       "traced replay minus untraced flow of the same round"},
       {"trace.overhead_share", trace_overhead_share, "share", ""},
       {"trace.reconcile_dev", worst, "share",
        "max relative deviation, bound " + std::to_string(kReconcileBound)},
