@@ -17,9 +17,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <optional>
+#include <random>
 #include <thread>
+#include <unordered_map>
 
 #include "bench.hpp"
 #include "util/json.hpp"
@@ -36,6 +39,16 @@ constexpr double kZipfExponent = 1.0;
 /// kSetupBlockMs of set-up time, one block after every pass or serve
 /// segment; setup_s is the median over blocks of the time per set-up.
 constexpr double kSetupBlockMs = 50;
+/// Host-speed normalization (NOTES.md, "Host drift"): every timing is
+/// divided by the ratio of the calibration loop's time, taken right after
+/// the pass or serve segment it belongs to, to kCalibrationRefMs, its
+/// median on the reference host (a 4-vCPU "Intel(R) Xeon(R) Processor"
+/// VM).  The shared host's speed drifts by more than 25% over minutes, and
+/// the calibration loop drifts with it.
+constexpr int kCalibrationSteps = 30000;
+constexpr double kCalibrationRefMs = 26;
+/// Keeps the calibration loop's result observable.
+volatile std::size_t calibration_sink = 0;
 /// Fixed seed of the serve-zipf popularity order.
 constexpr std::uint64_t kPopularitySeed = 0x5eed;
 /// Share of the pool's distinct results the serve cache can hold.
@@ -170,12 +183,62 @@ double setup_block(const Args& a) {
   return busy_ms / 1000 / reps;
 }
 
+/// Host-speed calibration: a fixed loop of the same kind of work as the
+/// flows (hashing, node-based containers, sorting, many small allocations)
+/// written with the standard library only, so no change to libsitm changes
+/// it.  Returns its time in ms, frees included.
+double calibration_ms() {
+  const auto t0 = Clock::now();
+  std::size_t sink = 0;
+  {
+    std::mt19937_64 rng(1);
+    std::unordered_map<std::uint64_t, std::vector<int>> buckets;
+    std::vector<std::string> words;
+    for (int i = 0; i < kCalibrationSteps; ++i) {
+      buckets[rng() % (kCalibrationSteps / 3)].push_back(i);
+      words.push_back(std::to_string(rng()));
+    }
+    std::sort(words.begin(), words.end());
+    std::map<std::string, int> prefixes;
+    for (const std::string& word : words) ++prefixes[word.substr(0, 6)];
+    sink = buckets.size() + prefixes.size();
+  }
+  calibration_sink = sink;
+  return ms_between(t0, Clock::now());
+}
+
+/// What runs after every timed pass or serve segment, so it samples the
+/// same stretch of host time: one set-up block and the calibration loop.
+struct Interval {
+  double setup_s = 0;      ///< seconds per set-up, as measured
+  double peak_rss_mb = 0;  ///< peak of the pass (or segment) and set-up block
+  double calibration_ms = 0;
+  /// How much slower than on the reference host the calibration ran; every
+  /// timing of the preceding pass or segment is divided by it.
+  double slow() const { return calibration_ms / kCalibrationRefMs; }
+};
+
+Interval after_pass(const Args& a) {
+  Interval iv;
+  iv.setup_s = setup_block(a);
+  iv.peak_rss_mb = peak_rss_mb();
+  iv.calibration_ms = calibration_ms();
+  reset_peak_rss();  // the calibration's heap is not the program's
+  return iv;
+}
+
 // ---- flow workloads -------------------------------------------------------
 
+/// Timings of the flow window.  timed_flow appends raw latencies;
+/// flow_window then divides each pass's timings by the slowdown the
+/// calibration after that pass measured.
 struct FlowSamples {
   std::vector<double> latency;
   std::vector<double> pass_ms;   ///< summed flow latencies of each pass
   std::vector<double> pass_p50;  ///< median flow latency of each pass
+  std::vector<double> setup_s;   ///< per set-up, one block after each pass
+  std::vector<double> calibration_ms;
+  std::vector<double> peak_rss_mb;
 };
 
 /// One untraced flow of `item`, checked against its reference.  Returns the
@@ -204,11 +267,10 @@ FlowReport timed_flow(const Workload& w, std::size_t idx,
   return report;
 }
 
-/// Timed passes for `a.seconds`, with a set-up block after every pass so
-/// set-up is sampled across the same stretch of host time as the flows.
+/// Timed passes for `a.seconds`, each followed by a set-up block and the
+/// calibration loop, which normalizes the pass's timings.
 FlowSamples flow_window(const Workload& w, const std::vector<Reference>& refs,
-                        const Args& a, RunState& st,
-                        std::vector<double>& setup_s) {
+                        const Args& a, RunState& st) {
   FlowSamples s;
   Rng rng(mix_seed(a.seed, 1));
   std::vector<std::size_t> order(w.items.size());
@@ -219,11 +281,14 @@ FlowSamples flow_window(const Workload& w, const std::vector<Reference>& refs,
     const std::size_t first = s.latency.size();
     for (const std::size_t idx : order)
       timed_flow(w, idx, refs, w.threads, st, s);
-    const std::vector<double> pass(
-        s.latency.begin() + static_cast<std::ptrdiff_t>(first), s.latency.end());
-    s.pass_ms.push_back(std::accumulate(pass.begin(), pass.end(), 0.0));
-    s.pass_p50.push_back(median(pass));
-    setup_s.push_back(setup_block(a));
+    const Interval iv = after_pass(a);
+    const auto pass = s.latency.begin() + static_cast<std::ptrdiff_t>(first);
+    for (auto it = pass; it != s.latency.end(); ++it) *it /= iv.slow();
+    s.pass_ms.push_back(std::accumulate(pass, s.latency.end(), 0.0));
+    s.pass_p50.push_back(median(std::vector<double>(pass, s.latency.end())));
+    s.setup_s.push_back(iv.setup_s / iv.slow());
+    s.calibration_ms.push_back(iv.calibration_ms);
+    s.peak_rss_mb.push_back(iv.peak_rss_mb);
   } while (!a.smoke && ms_between(start, Clock::now()) < a.seconds * 1000);
   return s;
 }
@@ -233,8 +298,6 @@ FlowSamples flow_window(const Workload& w, const std::vector<Reference>& refs,
 struct ServeSamples {
   std::vector<double> latency, hit_us, miss_ms, queue_wait_ms;
   double wall_ms = 0;
-  /// Requests completed in each whole second of each segment.
-  std::vector<double> per_second;
 };
 
 struct EngineStats {
@@ -291,7 +354,6 @@ class ServeClients {
   struct Record {
     std::size_t item = 0;
     double ms = 0;
-    double done_ms = 0;  ///< completion, from the start of the loop
     Response resp;
     std::size_t hash = 0;
     double total_ms = 0;
@@ -406,7 +468,6 @@ class ServeClients {
           const std::size_t k = perm[std::min(rank, n - 1)];
           records[c].push_back(
               request(engine, k, w_.items[k].line, tracer, c + 1));
-          records[c].back().done_ms = ms_between(start, Clock::now());
         }
       } catch (const std::exception& e) {
         errors[c] = e.what();
@@ -415,20 +476,10 @@ class ServeClients {
     std::vector<std::thread> threads;
     for (int c = 0; c < kServeClients; ++c) threads.emplace_back(client, c);
     for (auto& t : threads) t.join();
-    const double wall_ms = ms_between(start, Clock::now());
-    const std::size_t base = s ? s->per_second.size() : 0;
-    if (s) {
-      s->wall_ms += wall_ms;
-      s->per_second.resize(base + static_cast<std::size_t>(wall_ms / 1000));
-    }
+    if (s) s->wall_ms += ms_between(start, Clock::now());
     for (int c = 0; c < kServeClients; ++c) {
       if (!errors[c].empty()) st.reject("serve client: " + errors[c]);
-      for (const Record& rec : records[c]) {
-        account(rec, st, s);
-        const auto second = static_cast<std::size_t>(rec.done_ms / 1000);
-        if (s && base + second < s->per_second.size())
-          ++s->per_second[base + second];
-      }
+      for (const Record& rec : records[c]) account(rec, st, s);
     }
     check_hits(st);
   }
@@ -781,7 +832,7 @@ int run(const Args& a) {
   reset_peak_rss();
 
   if (!a.trace) {
-    std::vector<double> latency, setup_s;
+    std::vector<double> latency, setup_s, calibration, peak_mb;
     double ops_per_s = 0, p50 = 0;
     if (serve_wl) {
       serve::ServeEngine engine(serve_options(cache_bytes));
@@ -790,31 +841,48 @@ int run(const Args& a) {
       clients.closed_loop(engine, a.seed ^ 0x5a5a, 0, a.smoke ? 10 : 2 * w.items.size(),
                          nullptr, st, nullptr);
       // The window runs in segments of about a second, each followed by a
-      // set-up block.
+      // set-up block and the calibration loop, which normalizes the
+      // segment's latencies and time.
       ServeSamples s;
+      const EngineStats before = engine_stats(engine);
+      std::vector<double> per_s;  // normalized throughput of each segment
       const int segments = a.smoke ? 1 : std::max(1, static_cast<int>(a.seconds));
       for (int seg = 0; seg < segments; ++seg) {
+        const std::size_t first = s.latency.size();
+        const double wall_ms = s.wall_ms;
         clients.closed_loop(engine, mix_seed(a.seed, 200 + static_cast<std::uint64_t>(seg)),
                             a.seconds / segments, a.smoke ? 40 : 0, nullptr, st, &s);
-        setup_s.push_back(setup_block(a));
+        const Interval iv = after_pass(a);
+        for (std::size_t i = first; i < s.latency.size(); ++i)
+          s.latency[i] /= iv.slow();
+        per_s.push_back(static_cast<double>(s.latency.size() - first) /
+                        ((s.wall_ms - wall_ms) / iv.slow() / 1000));
+        setup_s.push_back(iv.setup_s / iv.slow());
+        calibration.push_back(iv.calibration_ms);
+        peak_mb.push_back(iv.peak_rss_mb);
       }
       latency = s.latency;
-      // The median second is robust to bursts of contention on a shared
-      // host; a smoke run has no whole seconds to take it over.
-      ops_per_s = s.per_second.size() >= 3
-                      ? median(s.per_second)
-                      : static_cast<double>(s.latency.size()) / (s.wall_ms / 1000);
+      // The median segment is robust to a burst of expensive misses.
+      ops_per_s = median(per_s);
       p50 = percentile(latency, 50);
+      const EngineStats after = engine_stats(engine);
+      char hit_note[96];
+      std::snprintf(hit_note, sizeof hit_note, "; window: %.0f hits, %.0f misses",
+                    after.hits - before.hits, after.misses - before.misses);
       notes.push_back("serve: " + std::to_string(kServeClients) +
                       " closed-loop clients, " + std::to_string(w.items.size()) +
                       " keys, cache budget " + std::to_string(cache_bytes) +
-                      " bytes");
+                      " bytes" + hit_note);
     } else {
-      const FlowSamples s = flow_window(w, refs, a, st, setup_s);
+      const FlowSamples s = flow_window(w, refs, a, st);
       latency = s.latency;
-      // Whole passes weigh every input alike; the median pass is robust
-      // to bursts of contention on a shared host.
-      ops_per_s = static_cast<double>(w.items.size()) / (median(s.pass_ms) / 1000);
+      setup_s = s.setup_s;
+      calibration = s.calibration_ms;
+      peak_mb = s.peak_rss_mb;
+      // Whole passes weigh every input alike.
+      ops_per_s = static_cast<double>(w.items.size()) /
+                  (std::accumulate(s.pass_ms.begin(), s.pass_ms.end(), 0.0) /
+                   static_cast<double>(s.pass_ms.size()) / 1000);
       // The pooled median of a pass falls between two inputs' latencies and
       // jumps with their extremes; the median over passes does not.
       p50 = median(s.pass_p50);
@@ -822,6 +890,13 @@ int run(const Args& a) {
                       std::to_string(w.items.size()) + " inputs at " +
                       std::to_string(w.threads) + " thread(s)");
     }
+    char calib_note[160];
+    std::snprintf(calib_note, sizeof calib_note,
+                  "host speed: calibration loop median %.2f ms over %zu "
+                  "samples (reference %.0f ms); timings below are divided "
+                  "by each sample / reference",
+                  median(calibration), calibration.size(), kCalibrationRefMs);
+    notes.push_back(calib_note);
     const double ok_share =
         st.attempted ? static_cast<double>(st.attempted - st.failed) /
                            static_cast<double>(st.attempted)
@@ -834,7 +909,8 @@ int run(const Args& a) {
         {"setup_s", median(setup_s), "s",
          "median per set-up over " + std::to_string(setup_s.size()) +
              " blocks, one after each pass or segment"},
-        {"peak_rss_mb", peak_rss_mb(), "MB", "during the measurement"},
+        {"peak_rss_mb", median(peak_mb), "MB",
+         "median over passes or segments of the peak within one"},
         {"literals_total", literals, "count", "sum over distinct inputs"},
         {"mapped_share", mapped_share, "share", "of the distinct inputs"},
         {"inserted_signals_total", inserted, "count", "sum over distinct inputs"},

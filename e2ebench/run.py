@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the sitm end-to-end benchmark.
 
-    python3 e2ebench/run.py --workload corpus --seed 1 --seconds 12 --trace 0
+    python3 e2ebench/run.py --workload corpus --seed 1 --seconds 25 --trace 0
 
 Builds e2ebench/ (libsitm from the repository's src/ plus the sitm_e2e
 program) into .bench_build/sitm-e2e, then runs one workload.  Build output
