@@ -1,6 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/progress.hpp"
 #include "mlogic/division.hpp"
@@ -52,23 +53,6 @@ Cover latch_reset_partner(const Cover& f) {
   return Cover(f.num_vars(), {partner});
 }
 
-MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
-                      const GateLibrary& library) {
-  MapMetrics m;
-  for (const auto& s : syntheses) {
-    const int gates[2] = {s.combinational ? s.complete_complexity
-                                          : s.set.complexity,
-                          s.combinational ? -1 : s.reset.complexity};
-    for (int c : gates) {
-      if (c < 0) continue;
-      if (!library.fits(c)) ++m.gates_over_library;
-      m.max_complexity = std::max(m.max_complexity, c);
-      m.total_literals += c;
-    }
-  }
-  return m;
-}
-
 /// Fresh internal signal name.
 std::string fresh_name(const StateGraph& sg, int counter) {
   while (true) {
@@ -87,9 +71,37 @@ struct Candidate {
 
 }  // namespace
 
+void MapMetrics::add(const SignalSynthesis& s, const GateLibrary& library) {
+  const int gates[2] = {s.combinational ? s.complete_complexity
+                                        : s.set.complexity,
+                        s.combinational ? -1 : s.reset.complexity};
+  for (int c : gates) {
+    if (c < 0) continue;
+    if (!library.fits(c)) ++gates_over_library;
+    max_complexity = std::max(max_complexity, c);
+    total_literals += c;
+  }
+}
+
+MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
+                      const GateLibrary& library) {
+  MapMetrics m;
+  for (const auto& s : syntheses) m.add(s, library);
+  return m;
+}
+
+bool cannot_improve(const MapMetrics& partial, const MapMetrics& threshold,
+                    bool ties_lose) {
+  return ties_lose ? !(partial < threshold) : threshold < partial;
+}
+
 Netlist MapResult::build_netlist(const McOptions& mc) const {
   if (!sg) throw Error("MapResult: no state graph");
-  return synthesize_all(*sg, mc);
+  if (mc.architecture != architecture || mc.minimize_passes != minimize_passes)
+    throw Error(
+        "MapResult::build_netlist: options differ from the mapper's "
+        "(architecture / minimize_passes)");
+  return netlist_of(*sg, syntheses);
 }
 
 MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
@@ -102,13 +114,17 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
     throw Error("technology_map: input SG not implementable: " + r.why);
 
   int name_counter = 0;
+  result.architecture = opts.mc.architecture;
+  result.minimize_passes = opts.mc.minimize_passes;
+  // The only full synthesis: every later iteration starts from the
+  // committed candidate's syntheses.
+  synthesize_all(*result.sg, opts.mc, &result.syntheses, guard);
+  result.signals_synthesized = static_cast<long>(result.syntheses.size());
 
   while (true) {
     guard_check(guard, "map.iteration");
     fault::hit("map.round");
     StateGraph& sg = *result.sg;
-    result.syntheses.clear();
-    synthesize_all(sg, opts.mc, &result.syntheses, guard);
 
     // Shared per-iteration planning state: one diamond enumeration and one
     // region memo serve every divisor candidate of every target below, and
@@ -209,12 +225,21 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // at the first round boundary where a committable running best
       // exists: the pruned candidates carry estimates no better than what
       // already won, and never pay for insert_signal/verify_insertion.
+      //
+      // A candidate is resynthesized one signal at a time, the target
+      // signal first, and abandoned once its partial cost (a lower bound,
+      // see MapMetrics::add) cannot beat current_metrics or the running
+      // best of the earlier rounds.  Those have lower indices, so a tie
+      // loses to them too.  An abandoned candidate could never have been
+      // committed, so the winner and the evaluated set are unchanged.
       struct Evaluated {
         StateGraph sg;
-        std::vector<SignalSynthesis> syntheses;
+        std::vector<SignalSynthesis> syntheses;  ///< signal-order slots
         const Candidate* candidate = nullptr;
-        MapMetrics metrics;
+        MapMetrics metrics;  ///< a lower bound only when abandoned
         std::size_t states = 0;
+        long signals = 0;    ///< signals synthesized
+        bool abandoned = false;
       };
       const std::string name = fresh_name(sg, name_counter);
       const int eval_threads =
@@ -264,14 +289,44 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
             ev.candidate = &candidates[pos + k];
             evaluated.push_back(std::move(ev));
           }
-          parallel_for(evaluated.size() - first_new, eval_threads,
-                       [&](std::size_t k) {
-                         Evaluated& ev = evaluated[first_new + k];
-                         synthesize_all(ev.sg, opts.mc, &ev.syntheses, guard);
-                         ev.metrics = metrics_of(ev.syntheses, opts.library);
-                         ev.states = ev.sg.num_states();
-                       });
+          const Evaluated* earlier = best_idx ? &evaluated[*best_idx] : nullptr;
+          auto loses = [&](const Evaluated& ev) {
+            return cannot_improve(ev.metrics, current_metrics, true) ||
+                   (earlier && cannot_improve(ev.metrics, earlier->metrics,
+                                              ev.states >= earlier->states));
+          };
+          const int target_signal = target.synth->signal;
+          parallel_for(
+              evaluated.size() - first_new, eval_threads, [&](std::size_t k) {
+                Evaluated& ev = evaluated[first_new + k];
+                ev.states = ev.sg.num_states();
+                const std::vector<int> sigs = ev.sg.noninput_signals();
+                std::vector<std::size_t> order(sigs.size());
+                std::iota(order.begin(), order.end(), std::size_t{0});
+                std::stable_partition(order.begin(), order.end(),
+                                      [&](std::size_t slot) {
+                                        return sigs[slot] == target_signal;
+                                      });
+                ev.syntheses.resize(sigs.size());
+                for (const std::size_t slot : order) {
+                  if (loses(ev)) {
+                    ev.abandoned = true;
+                    break;
+                  }
+                  fault::hit("synth.signal");
+                  guard_charge(guard, 1, "synth.signal");
+                  ev.syntheses[slot] =
+                      synthesize_signal(ev.sg, sigs[slot], opts.mc);
+                  ev.metrics.add(ev.syntheses[slot], opts.library);
+                  ++ev.signals;
+                }
+              });
           for (std::size_t i = first_new; i < evaluated.size(); ++i) {
+            result.signals_synthesized += evaluated[i].signals;
+            if (evaluated[i].abandoned) {
+              ++result.candidates_abandoned;
+              continue;
+            }
             // Progress requirement: the global cost tuple strictly
             // decreases.  This is the termination measure of the whole loop
             // — temporary growth of one cover (the acknowledgement literal
@@ -301,6 +356,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         step.after = best->metrics;
         result.steps.push_back(std::move(step));
 
+        result.syntheses = std::move(best->syntheses);
         result.sg = std::make_shared<StateGraph>(std::move(best->sg));
         ++result.signals_inserted;
         ++name_counter;

@@ -11,6 +11,11 @@
 //       which realizes the paper's global acknowledgement automatically);
 //     commit the candidate with the best global progress, or give up (n.i.).
 //
+// Only the input SG is synthesized with synthesize_all: the committed
+// candidate's syntheses are those of the next SG.  A candidate is
+// resynthesized one signal at a time, and abandoned as soon as its partial
+// cost proves it cannot be committed (see cannot_improve).
+//
 // The paper's tuning knobs (try other events when the worst one is stuck,
 // cap the number of candidates, local-vs-global acknowledgement for the
 // ablation study) are exposed through MapperOptions.
@@ -82,7 +87,22 @@ struct MapMetrics {
   }
   bool operator<(const MapMetrics& o) const { return tuple() < o.tuple(); }
   bool operator==(const MapMetrics& o) const { return tuple() == o.tuple(); }
+
+  /// Add the gates of one signal's implementation.  Every component only
+  /// grows, so the cost of a prefix of the signals (in any order) is a
+  /// componentwise, hence lexicographic, lower bound on the full cost.
+  void add(const SignalSynthesis& s, const GateLibrary& library);
 };
+
+/// Global cost of a full set of syntheses.
+MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
+                      const GateLibrary& library);
+
+/// Can no candidate whose cost has the lower bound `partial` beat
+/// `threshold`?  Beating means a strictly smaller cost, or an equal one when
+/// `ties_lose` is false.
+bool cannot_improve(const MapMetrics& partial, const MapMetrics& threshold,
+                    bool ties_lose);
 
 /// One committed decomposition step, for reporting.
 struct MapStep {
@@ -106,20 +126,33 @@ struct MapResult {
   /// 3.1/3.2 ranking is meant to save).
   long candidates_planned = 0;
   long resyntheses = 0;
-  /// Final SG (with the inserted signals) and its synthesis.
+  /// Work counters: resynthesized candidates abandoned before their last
+  /// signal, and single-signal syntheses run (input SG included).  Unlike
+  /// the counters above they depend on the thread count, since a candidate
+  /// is only compared against the winners of earlier rounds, and a round is
+  /// `threads` candidates wide (8 with prune_pre_checks).
+  long candidates_abandoned = 0;
+  long signals_synthesized = 0;
+  /// Final SG (with the inserted signals) and its synthesis, made with the
+  /// mapper's McOptions::architecture and minimize_passes.
   std::shared_ptr<StateGraph> sg;
   std::vector<SignalSynthesis> syntheses;
+  Architecture architecture = Architecture::kAuto;
+  int minimize_passes = 1;
   std::vector<MapStep> steps;
 
-  /// Standard-C netlist of the final SG.  The returned netlist references
-  /// *sg; keep this MapResult alive while using it.
+  /// Standard-C netlist of the final SG, assembled from `syntheses`
+  /// (nothing is synthesized).  `mc` must name the architecture and
+  /// minimize_passes the mapper ran with; throws sitm::Error otherwise,
+  /// since the syntheses would not match the options.  The returned netlist
+  /// references *sg; keep this MapResult alive while using it.
   Netlist build_netlist(const McOptions& mc = {}) const;
 };
 
 /// Map `sg` onto the library in `opts`.  The input SG must satisfy the flow
 /// preconditions (consistency, speed-independence, CSC); throws otherwise.
 /// `guard` (optional) bounds the search — polled at every iteration, per
-/// pre-check round and per resynthesis — and throws GuardExhausted on
+/// pre-check round and per synthesized signal — and throws GuardExhausted on
 /// exhaustion (no partial MapResult: an uncommitted decomposition has no
 /// netlist worth degrading to).
 MapResult technology_map(const StateGraph& sg, const MapperOptions& opts = {},

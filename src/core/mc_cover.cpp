@@ -144,13 +144,10 @@ std::vector<SignalSynthesis> synthesize_signals(const StateGraph& sg,
 
 }  // namespace
 
-Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
-                       std::vector<SignalSynthesis>* out_syntheses,
-                       const RunGuard* guard) {
+Netlist netlist_of(const StateGraph& sg,
+                   const std::vector<SignalSynthesis>& syntheses) {
   Netlist netlist(&sg);
-  if (out_syntheses) out_syntheses->clear();
-  const std::vector<int> sigs = sg.noninput_signals();
-  for (SignalSynthesis& synth : synthesize_signals(sg, sigs, opts, guard)) {
+  for (const SignalSynthesis& synth : syntheses) {
     SignalImpl impl;
     impl.signal = synth.signal;
     impl.combinational = synth.combinational;
@@ -165,8 +162,17 @@ Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
       impl.reset_complexity = synth.reset.complexity;
     }
     netlist.add_impl(std::move(impl));
-    if (out_syntheses) out_syntheses->push_back(std::move(synth));
   }
+  return netlist;
+}
+
+Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
+                       std::vector<SignalSynthesis>* out_syntheses,
+                       const RunGuard* guard) {
+  std::vector<SignalSynthesis> syntheses =
+      synthesize_signals(sg, sg.noninput_signals(), opts, guard);
+  Netlist netlist = netlist_of(sg, syntheses);
+  if (out_syntheses) *out_syntheses = std::move(syntheses);
   return netlist;
 }
 

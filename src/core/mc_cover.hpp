@@ -34,6 +34,8 @@ struct EventCover {
   Cover complement;             ///< minimized cover of the OFF condition
   DynBitset on, dc, off;        ///< state sets used for minimization
   int complexity = 0;           ///< min(lit(cover), lit(complement))
+
+  bool operator==(const EventCover&) const = default;
 };
 
 /// Full synthesis result for one signal.
@@ -46,6 +48,8 @@ struct SignalSynthesis {
   int complete_complexity = 0;
   /// Worst gate complexity of the chosen implementation.
   int complexity = 0;
+
+  bool operator==(const SignalSynthesis&) const = default;
 };
 
 /// Implementation architecture policy per signal.
@@ -92,6 +96,12 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
 Netlist synthesize_all(const StateGraph& sg, const McOptions& opts = {},
                        std::vector<SignalSynthesis>* out_syntheses = nullptr,
                        const RunGuard* guard = nullptr);
+
+/// Standard-C netlist assembled from per-signal syntheses of `sg` (in
+/// signal order, as synthesize_all produces them).  Synthesizes nothing;
+/// the netlist references `sg`.
+Netlist netlist_of(const StateGraph& sg,
+                   const std::vector<SignalSynthesis>& syntheses);
 
 /// Worker count synthesize_all will actually use for `num_signals` work
 /// items: McOptions::threads with 0 resolved to the hardware concurrency,

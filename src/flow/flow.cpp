@@ -516,6 +516,10 @@ void Flow::stage_map(StageReport& sr) {
   sr.metric("candidates_planned",
             static_cast<double>(result.candidates_planned));
   sr.metric("resyntheses", static_cast<double>(result.resyntheses));
+  sr.metric("candidates_abandoned",
+            static_cast<double>(result.candidates_abandoned));
+  sr.metric("signals_synthesized",
+            static_cast<double>(result.signals_synthesized));
   if (!result.implementable)
     throw Error("not implementable with " +
                 std::to_string(opts_.mapper.library.max_literals) +

@@ -24,6 +24,8 @@ struct Region {
   DynBitset sr;         ///< switching region
   DynBitset qr;         ///< restricted quiescent region
   std::vector<Event> triggers;  ///< trigger events of this ER
+
+  bool operator==(const Region&) const = default;
 };
 
 /// All excitation regions of event `e`, with SR/QR/triggers filled in.

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "benchlib/generators.hpp"
 #include "flow/batch.hpp"
@@ -172,6 +173,37 @@ TEST_F(FaultTest, HotLoopSitesAreInstrumented) {
   }
 }
 
+TEST_F(FaultTest, MapperPerSignalResynthesisPolls) {
+  // The mapper resynthesizes each candidate one signal at a time and polls
+  // synth.signal per signal.  Count the hits of a clean run (an unreachable
+  // nth only counts), then fire on the first hit past the synth stage's
+  // and the mapper's initial synthesis of the same SG, and on the last
+  // hit of the map stage: both must fail the map stage typed.
+  fault::arm("synth.signal", fault::Action::kBudget,
+             std::numeric_limits<std::uint64_t>::max());
+  Flow counting;
+  const FlowReport clean = counting.run_string(kCscConflictSpec);
+  ASSERT_TRUE(clean.ok) << clean.failure;
+  const auto synth_signals = clean.stage(Stage::kSynth).metric_value("signals");
+  const auto map_signals =
+      clean.stage(Stage::kMap).metric_value("signals_synthesized");
+  ASSERT_TRUE(synth_signals && map_signals);
+  const auto synth_hits = static_cast<std::uint64_t>(*synth_signals);
+  const auto map_hits = static_cast<std::uint64_t>(*map_signals);
+  ASSERT_GT(map_hits, synth_hits) << "no candidate was resynthesized";
+  EXPECT_EQ(fault::hit_count("synth.signal"), synth_hits + map_hits);
+
+  for (const std::uint64_t nth : {2 * synth_hits + 1, synth_hits + map_hits}) {
+    fault::clear();
+    fault::arm("synth.signal", fault::Action::kBudget, nth);
+    Flow flow;
+    const FlowReport report = flow.run_string(kCscConflictSpec);
+    ASSERT_FALSE(report.ok) << nth;
+    EXPECT_EQ(report.failed_stage, Stage::kMap) << nth;
+    EXPECT_EQ(report.failure_kind, FailureKind::kBudget) << nth;
+  }
+}
+
 TEST_F(FaultTest, CscExhaustionUnderFailPolicyIsTyped) {
   // Trip at the very first scored candidate: nothing committable exists
   // yet, so the stage fails typed with the engine's explanation.
@@ -216,9 +248,14 @@ TEST_F(FaultTest, CscExhaustionCommitsBestSoFarInsertion) {
 
 // ---- batch driver ------------------------------------------------------
 
+/// Two copies of the CSC-conflict spec in a directory of the current
+/// test's own: ctest runs each test as a separate process, and under -j a
+/// shared directory let one test truncate a spec another was reading.
 std::string write_spec_dir() {
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "sitm_fault_batch";
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (std::string("sitm_fault_batch_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::filesystem::create_directories(dir);
   for (const char* name : {"one.g", "two.g"}) {
     std::ofstream out(dir / name);

@@ -4,7 +4,9 @@
 // verifying candidates in rank order, and the winner is chosen in candidate
 // order regardless of worker schedule.  Pinned over the Table-1 corpus
 // (CSC-resolved through the Flow engine) and directly on the generator
-// families at 1/2/4/N threads.
+// families at 1/2/4/N threads.  The corpus run also pins the reuse of the
+// winner's syntheses: the mapper never resynthesizes the committed SG, so
+// its syntheses and netlist must equal a fresh synthesis of the final SG.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,18 @@ MapFingerprint fingerprint_of(const MapResult& result) {
   return fp;
 }
 
+/// The syntheses a map run carries (reused from its winners) and the
+/// netlist assembled from them equal a fresh synthesis of the final SG.
+void expect_fresh_syntheses(const MapResult& result, const McOptions& mc,
+                            const std::string& label) {
+  ASSERT_TRUE(result.sg) << label;
+  std::vector<SignalSynthesis> fresh;
+  const Netlist netlist = synthesize_all(*result.sg, mc, &fresh);
+  EXPECT_TRUE(result.syntheses == fresh) << label;
+  EXPECT_EQ(result.build_netlist(mc).to_string(), netlist.to_string())
+      << label;
+}
+
 TEST(MapParallel, CorpusBitIdenticalAcrossThreadCounts) {
   for (const auto& name : bench::suite_names()) {
     // The corpus includes CSC-violating specs; run the flow front half
@@ -65,13 +79,17 @@ TEST(MapParallel, CorpusBitIdenticalAcrossThreadCounts) {
     MapperOptions serial;
     serial.library.max_literals = 2;
     serial.threads = 1;
-    const MapFingerprint ref = fingerprint_of(technology_map(sg, serial));
+    const MapResult serial_result = technology_map(sg, serial);
+    expect_fresh_syntheses(serial_result, serial.mc, name + " at 1");
+    const MapFingerprint ref = fingerprint_of(serial_result);
     EXPECT_TRUE(ref.ok) << name;
 
     for (const int threads : {2, 4, 0}) {
       MapperOptions opts = serial;
       opts.threads = threads;
-      EXPECT_EQ(fingerprint_of(technology_map(sg, opts)), ref)
+      const MapResult result = technology_map(sg, opts);
+      if (threads == 4) expect_fresh_syntheses(result, opts.mc, name + " at 4");
+      EXPECT_EQ(fingerprint_of(result), ref)
           << name << " at " << threads << " map-threads";
     }
   }

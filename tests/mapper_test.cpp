@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+
 #include "benchlib/generators.hpp"
 #include "core/mapper.hpp"
 #include "netlist/si_verify.hpp"
@@ -151,6 +155,71 @@ TEST(Mapper, DivisorFunctionsRecorded) {
   const int d = sg.find_signal("d");
   const bool is_ad = f.cubes()[0].has_literal(a) && f.cubes()[0].has_literal(d);
   EXPECT_FALSE(is_ad);
+}
+
+TEST(Mapper, BuildNetlistRejectsOtherSynthesisOptions) {
+  // build_netlist assembles the netlist from the syntheses the mapper made,
+  // so it must refuse options those syntheses were not made with.
+  const StateGraph sg = bench::make_parallelizer(4).to_state_graph();
+  MapperOptions opts = with_library(2);
+  opts.mc.architecture = Architecture::kStandardC;
+  const MapResult result = technology_map(sg, opts);
+  ASSERT_TRUE(result.implementable) << result.failure;
+
+  const std::string netlist = result.build_netlist(opts.mc).to_string();
+  McOptions threads = opts.mc;
+  threads.threads = 4;  // not a synthesis option
+  EXPECT_EQ(result.build_netlist(threads).to_string(), netlist);
+
+  EXPECT_THROW(result.build_netlist(), Error);  // kAuto
+  McOptions passes = opts.mc;
+  passes.minimize_passes = 2;
+  EXPECT_THROW(result.build_netlist(passes), Error);
+}
+
+TEST(Mapper, AbandonmentBoundNeverStopsAWinner) {
+  // The mapper abandons a candidate once cannot_improve holds for the cost
+  // of the signals synthesized so far.  For random per-signal complexities
+  // and random evaluation orders, a stop on any prefix must mean the full
+  // cost does not beat the threshold; on the full set the bound is exact.
+  std::mt19937 rng(20261017);
+  const GateLibrary library{2};
+  auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+  int early_stops = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<SignalSynthesis> syntheses(1 + pick(6));
+    for (SignalSynthesis& s : syntheses) {
+      s.combinational = pick(3) == 0;
+      s.complete_complexity = pick(6);
+      s.set.complexity = pick(6);
+      s.reset.complexity = pick(6);
+    }
+    const MapMetrics full = metrics_of(syntheses, library);
+    MapMetrics threshold = full;  // ties half the time
+    if (pick(2) == 0) {
+      threshold.gates_over_library = pick(8);
+      threshold.max_complexity = pick(6);
+      threshold.total_literals = pick(40);
+    }
+    const bool ties_lose = pick(2) == 0;
+    const bool beats = ties_lose ? full < threshold : !(threshold < full);
+
+    std::vector<std::size_t> order(syntheses.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    MapMetrics partial;
+    for (const std::size_t i : order) {
+      if (cannot_improve(partial, threshold, ties_lose)) {
+        EXPECT_FALSE(beats) << "trial " << trial;
+        ++early_stops;
+      }
+      partial.add(syntheses[i], library);
+    }
+    EXPECT_EQ(partial, full);
+    EXPECT_EQ(cannot_improve(partial, threshold, ties_lose), !beats)
+        << "trial " << trial;
+  }
+  EXPECT_GT(early_stops, 0);
 }
 
 }  // namespace
