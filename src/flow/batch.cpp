@@ -11,7 +11,6 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
-#include "util/scheduler.hpp"
 
 namespace sitm {
 
@@ -22,7 +21,6 @@ Json BatchResult::to_json() const {
   j.set("failed", num_failed);
   j.set("total_ms", total_ms);
   j.set("workers", workers);
-  j.set("steals", steals);
   Json reports = Json::array();
   for (const auto& item : items) {
     Json r = item.report.to_json();
@@ -110,12 +108,12 @@ BatchResult run_pool(std::vector<BatchItem> items, const BatchOptions& opts,
   // Items never throw out of the body: the Flow captures stage errors in
   // the report, and the catch arms here guard the surroundings (suite
   // lookup, fault sites, non-standard exceptions) so one bad item cannot
-  // take down the batch.  The work-stealing pool keeps workers busy when
-  // item costs are skewed (one huge spec no longer serializes the tail);
-  // each worker writes only slot i, so results are bit-identical to the
-  // serial run at any thread count.
+  // take down the batch.  Workers claim items one at a time from
+  // parallel_for's shared counter, so skewed item costs balance (one huge
+  // spec does not serialize the tail); each worker writes only slot i, so
+  // results are bit-identical to the serial run at any thread count.
   result.workers = resolve_worker_threads(opts.threads, result.items.size());
-  parallel_for_jobs(result.items.size(), opts.threads, [&](std::size_t i) {
+  parallel_for(result.items.size(), opts.threads, [&](std::size_t i) {
     ItemWatch& w = watch[i];
     auto attempt = [&](FlowOptions flow_opts) -> FlowReport {
       flow_opts.guard = std::make_shared<RunGuard>();
@@ -174,7 +172,7 @@ BatchResult run_pool(std::vector<BatchItem> items, const BatchOptions& opts,
     }
     result.items[i].report = std::move(report);
     result.items[i].attempts = attempts;
-  }, &result.steals);
+  });
 
   pool_done.store(true, std::memory_order_relaxed);
   if (watchdog.joinable()) watchdog.join();

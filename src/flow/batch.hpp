@@ -4,13 +4,13 @@
 // document (`sitm batch`).
 //
 // Two levels of parallelism compose: the batch pool runs whole flows
-// concurrently (one spec per worker, on the work-stealing scheduler of
-// util/scheduler.hpp — the calling thread participates as a worker), and
-// each flow's synth stage may additionally parallelize over signals
-// (McOptions::threads).  Results are returned in input order regardless of
-// scheduling — every worker writes only its own index's slot, so the
-// aggregate is bit-identical at any thread count — and a failing spec is
-// recorded in its report instead of aborting the batch.
+// concurrently (one spec per worker, on parallel_for of util/parallel.hpp —
+// the calling thread participates as a worker), and each flow's synth
+// stage may additionally parallelize over signals (McOptions::threads).
+// Results are returned in input order regardless of scheduling — every
+// worker writes only its own index's slot, so the aggregate is
+// bit-identical at any thread count — and a failing spec is recorded in
+// its report instead of aborting the batch.
 //
 // Resource governance: with `item_deadline_ms` set, every item runs under
 // its own RunGuard with that deadline, and a watchdog thread additionally
@@ -20,7 +20,6 @@
 // under the kDegrade policy (fresh deadline window) so a partial result can
 // still be salvaged.
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -58,11 +57,9 @@ struct BatchResult {
   int num_ok = 0;
   int num_failed = 0;
   double total_ms = 0;
-  /// Scheduler observability (informational; never affects the reports):
-  /// worker count the pool resolved to, and how many items ran on a worker
-  /// other than the deque they were submitted to.
+  /// Worker count the pool resolved to (informational; never affects the
+  /// reports).
   int workers = 1;
-  std::uint64_t steals = 0;
 
   bool all_ok() const { return num_failed == 0; }
   /// Aggregate document: batch totals plus every per-spec FlowReport.

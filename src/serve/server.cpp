@@ -175,9 +175,9 @@ struct ServeEngine::Request {
 ServeEngine::ServeEngine(ServeOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache_bytes, opts_.cache_shards),
-      sched_(opts_.threads, /*spawn_all=*/true) {}
+      pool_(opts_.threads) {}
 
-ServeEngine::~ServeEngine() { sched_.shutdown(); }
+ServeEngine::~ServeEngine() { pool_.shutdown(); }
 
 std::string ServeEngine::error_response(const std::string& id,
                                         const std::string& message) {
@@ -276,7 +276,7 @@ std::future<std::string> ServeEngine::submit_line(const std::string& line) {
 
     auto shared_req = std::make_shared<Request>(std::move(req));
     const int priority = shared_req->priority;
-    sched_.submit(
+    pool_.submit(
         [this, promise, shared_req] {
           promise->set_value(run_request(std::move(*shared_req)));
         },
@@ -340,9 +340,8 @@ Json ServeEngine::stats_json() const {
   s.set("cache_bytes_live", Json(cs.bytes_live));
   s.set("cache_bytes_pooled", Json(cs.bytes_pooled));
   s.set("cache_byte_budget", Json(cs.byte_budget));
-  s.set("steals", Json(sched_.steals()));
-  s.set("executed", Json(sched_.executed()));
-  s.set("workers", Json(sched_.num_workers()));
+  s.set("executed", Json(pool_.executed()));
+  s.set("workers", Json(pool_.num_workers()));
   return s;
 }
 

@@ -7,7 +7,7 @@
 //   * pipe mode — requests on stdin, responses on stdout (tests, CI, and
 //     anything that can spawn a process);
 //   * unix-socket mode — SOCK_STREAM connections, each served by its own
-//     reader/writer pair, all feeding one scheduler and one cache.
+//     reader/writer pair, all feeding one job pool and one cache.
 //
 // Requests:
 //   {"op": "stats"}      -> {"status":"ok","stats":{...counters...}}
@@ -44,9 +44,10 @@
 // response, so warm results are bit-identical to the cold ones.  Failed
 // runs are never cached (resource failures depend on wall clock; the
 // cheap deterministic failures re-derive in microseconds).  Cache hits
-// are answered on the request thread without touching the scheduler;
-// misses run as scheduler jobs under the request's priority and a
-// per-request RunGuard deadline.
+// are answered on the request thread without touching the job pool;
+// misses run as JobPool jobs (util/scheduler.hpp: one queue, so a
+// request's priority orders it against every queued miss, whichever
+// connection sent it) under a per-request RunGuard deadline.
 
 #include <cstdint>
 #include <functional>
@@ -66,7 +67,7 @@ struct ServeOptions {
   /// override output-affecting fields.  Emit paths are ignored (the server
   /// never writes spec outputs to disk); capture_emitted is forced on.
   FlowOptions flow;
-  /// Scheduler workers (free-running).  0 = one per hardware core.
+  /// Job-pool workers.  0 = one per hardware core.
   int threads = 1;
   /// FlowCache byte budget / shard count.
   std::size_t cache_bytes = std::size_t{256} << 20;
@@ -98,7 +99,6 @@ class ServeEngine {
   Json stats_json() const;
   FlowCache& cache() { return cache_; }
   const ServeOptions& options() const { return opts_; }
-  std::uint64_t steals() const { return sched_.steals(); }
 
  private:
   struct Request;  // parsed synthesis request (spec + merged options)
@@ -113,16 +113,16 @@ class ServeEngine {
 
   ServeOptions opts_;
   FlowCache cache_;
-  WorkStealingScheduler sched_;
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> errors_{0};
+  JobPool pool_;  ///< last: its jobs use every member above
 };
 
 /// Shared request loop: read lines with `read_line` (false = EOF), write
 /// each response with `write_line`, in request order, overlapping
-/// execution via the engine's scheduler.  Returns when the stream ends or
+/// execution via the engine's job pool.  Returns when the stream ends or
 /// a shutdown request has been answered.
 void serve_stream(ServeEngine& engine,
                   const std::function<bool(std::string&)>& read_line,

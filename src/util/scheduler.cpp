@@ -1,130 +1,60 @@
 #include "util/scheduler.hpp"
 
+#include <limits>
+
+#include "util/parallel.hpp"
+
 namespace sitm {
 
-WorkStealingScheduler::WorkStealingScheduler(int threads, bool spawn_all)
-    : spawn_all_(spawn_all) {
-  if (threads <= 0)
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
-  num_workers_ = threads;
-  deques_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i)
-    deques_.push_back(std::make_unique<Deque>());
-  // Worker 0 is the calling thread unless every worker is spawned.
-  const int to_spawn = spawn_all_ ? threads : threads - 1;
-  threads_.reserve(static_cast<std::size_t>(to_spawn));
-  for (int t = 0; t < to_spawn; ++t) {
-    const std::size_t self = static_cast<std::size_t>(spawn_all_ ? t : t + 1);
-    threads_.emplace_back([this, self] { worker_loop(self); });
-  }
+JobPool::JobPool(int threads)
+    : num_workers_(resolve_worker_threads(
+          threads, std::numeric_limits<std::size_t>::max())) {
+  threads_.reserve(static_cast<std::size_t>(num_workers_));
+  for (int t = 0; t < num_workers_; ++t)
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
-WorkStealingScheduler::~WorkStealingScheduler() { shutdown(); }
+JobPool::~JobPool() { shutdown(); }
 
-void WorkStealingScheduler::bump_epoch() {
+void JobPool::submit(std::function<void()> fn, int priority) {
   {
-    const std::lock_guard<std::mutex> lock(wake_m_);
-    ++wake_epoch_;
+    const std::lock_guard<std::mutex> lock(m_);
+    queue_.push(Job{priority, next_seq_++, std::move(fn)});
   }
-  wake_cv_.notify_all();
+  // Wake every idle worker, not one: measured on the serve workload,
+  // notify_one raised peak RSS.
+  cv_.notify_all();
 }
 
-void WorkStealingScheduler::submit(std::function<void()> fn, int priority) {
-  Job job;
-  job.priority = priority;
-  job.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  job.fn = std::move(fn);
-  const std::size_t d =
-      next_deque_.fetch_add(1, std::memory_order_relaxed) % deques_.size();
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    const std::lock_guard<std::mutex> lock(deques_[d]->m);
-    deques_[d]->jobs.push_back(std::move(job));
-  }
-  bump_epoch();
-}
-
-bool WorkStealingScheduler::pop_best(Deque& d, Job* out) {
-  const std::lock_guard<std::mutex> lock(d.m);
-  if (d.jobs.empty()) return false;
-  auto best = d.jobs.begin();
-  for (auto it = std::next(best); it != d.jobs.end(); ++it)
-    if (it->priority > best->priority ||
-        (it->priority == best->priority && it->seq < best->seq))
-      best = it;
-  *out = std::move(*best);
-  d.jobs.erase(best);
-  return true;
-}
-
-bool WorkStealingScheduler::run_one(std::size_t self) {
-  Job job;
-  bool found = pop_best(*deques_[self], &job);
-  if (!found) {
-    for (std::size_t k = 1; !found && k < deques_.size(); ++k) {
-      const std::size_t victim = (self + k) % deques_.size();
-      found = pop_best(*deques_[victim], &job);
-    }
-    if (found) steals_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!found) return false;
-  job.fn();
+bool JobPool::run_next(std::unique_lock<std::mutex>& lock) {
+  if (queue_.empty()) return false;
+  const std::function<void()> fn = std::move(queue_.top().fn);
+  queue_.pop();
+  lock.unlock();
+  fn();
   executed_.fetch_add(1, std::memory_order_relaxed);
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) bump_epoch();
+  lock.lock();
   return true;
 }
 
-void WorkStealingScheduler::worker_loop(std::size_t self) {
+void JobPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(m_);
   while (true) {
-    std::uint64_t epoch;
-    {
-      const std::lock_guard<std::mutex> lock(wake_m_);
-      epoch = wake_epoch_;
-    }
-    // Any job pushed before this scan is found by it; any job pushed after
-    // bumps the epoch past `epoch`, so the wait below cannot sleep through
-    // it.
-    if (run_one(self)) continue;
-    std::unique_lock<std::mutex> lock(wake_m_);
-    wake_cv_.wait(lock, [&] { return stopping_ || wake_epoch_ != epoch; });
-    if (stopping_) {
-      lock.unlock();
-      while (run_one(self)) {
-      }
-      return;
-    }
+    cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+    if (!run_next(lock)) return;  // stopping, and the queue is drained
   }
 }
 
-void WorkStealingScheduler::wait_idle() {
-  while (true) {
-    std::uint64_t epoch;
-    {
-      const std::lock_guard<std::mutex> lock(wake_m_);
-      epoch = wake_epoch_;
-    }
-    if (run_one(0)) continue;
-    if (pending_.load(std::memory_order_acquire) == 0) return;
-    // Jobs are in flight on other workers; wake on either the
-    // completion-to-idle bump or new work to help with.
-    std::unique_lock<std::mutex> lock(wake_m_);
-    wake_cv_.wait(lock, [&] { return wake_epoch_ != epoch; });
-  }
-}
-
-void WorkStealingScheduler::shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(wake_m_);
-    stopping_ = true;
-  }
-  wake_cv_.notify_all();
-  for (auto& t : threads_)
-    if (t.joinable()) t.join();
+void JobPool::shutdown() {
+  std::unique_lock<std::mutex> lock(m_);
+  stopping_ = true;
+  lock.unlock();
+  cv_.notify_all();
+  for (auto& t : threads_) t.join();
   threads_.clear();
-  // With no spawned workers (caller-participates, threads == 1) queued
-  // jobs may remain: run them here so shutdown always drains.
-  while (run_one(0)) {
+  // Jobs submitted after the last worker exited run here.
+  lock.lock();
+  while (run_next(lock)) {
   }
 }
 

@@ -1,80 +1,53 @@
 #pragma once
-// Work-stealing priority scheduler: the job-execution substrate of the
-// serve front-end and the batch driver, replacing the static
-// atomic-counter worker pool for whole-flow jobs.
+// Single-queue priority job pool: the job-execution substrate of the serve
+// front-end.  Fork-join loops (synth, map, batch) use parallel_for
+// (util/parallel.hpp) instead; this pool is for prioritized jobs that
+// arrive over time.
 //
-// Design: one deque of jobs per worker, guarded by a per-deque mutex (jobs
-// here are entire Flow runs — milliseconds to seconds — so the lock is
-// never the bottleneck; a lock-free Chase-Lev deque would buy nothing and
-// cost auditability).  Submission round-robins across deques; an idle
-// worker first drains its own deque (highest priority first, FIFO within a
-// priority), then steals the best job of the first non-empty victim in
-// round-robin order, counting the steal.  Per-job priorities order
-// *execution start*, not completion: a higher-priority job is popped
-// before any lower-priority job visible on the same deque scan.
+// Design: one priority queue (highest priority first, FIFO within a
+// priority) under one mutex and one condvar, drained by `threads` workers.
+// Jobs here are entire Flow runs — milliseconds to seconds — so the lock
+// is never the bottleneck, and one queue means priority is global: an idle
+// worker always starts the best job anywhere in the pool.  Priorities order
+// *execution start*, not completion.
 //
-// Determinism contract: the scheduler guarantees nothing about execution
-// order across workers, exactly like the atomic-counter pool it replaces.
-// Callers that need deterministic aggregates (batch, parallel_for_jobs)
-// write results into index-addressed slots, so the output is bit-identical
-// at every thread count.
-//
-// Two ownership modes:
-//   * caller-participates (batch): construct with `threads`, submit jobs,
-//     then wait_idle() — the calling thread runs the worker loop itself
-//     until the pool drains, so `threads` includes the caller and only
-//     threads-1 OS threads are spawned (the static pool wasted a core
-//     here: it spawned `threads` workers while the caller only blocked).
-//   * free-running (serve): construct with spawn_all = true; all `threads`
-//     workers are OS threads, submissions are processed as they arrive,
-//     and the destructor (or shutdown()) drains and joins.
+// Drain contract: every submitted job runs exactly once.  shutdown() lets
+// the workers empty the queue before they exit; a job whose submit races
+// or follows shutdown() runs on the shutdown caller's sweep, or on the
+// destructor's.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <queue>
 #include <thread>
 #include <vector>
 
-#include "util/parallel.hpp"
-
 namespace sitm {
 
-class WorkStealingScheduler {
+class JobPool {
  public:
   /// `threads` resolved like resolve_worker_threads (<= 0 = one per
-  /// hardware core, always >= 1).  With spawn_all = false the calling
-  /// thread is counted as worker 0 and must drive wait_idle(); with
-  /// spawn_all = true all workers are spawned and submissions run eagerly.
-  explicit WorkStealingScheduler(int threads, bool spawn_all = false);
-  ~WorkStealingScheduler();
+  /// hardware core, always >= 1).  All workers are spawned up front.
+  explicit JobPool(int threads);
+  ~JobPool();
 
-  WorkStealingScheduler(const WorkStealingScheduler&) = delete;
-  WorkStealingScheduler& operator=(const WorkStealingScheduler&) = delete;
+  JobPool(const JobPool&) = delete;
+  JobPool& operator=(const JobPool&) = delete;
 
   /// Enqueue a job.  Higher `priority` starts earlier; ties run FIFO.
-  /// Jobs must not throw — wrap the body (the batch driver and serve both
-  /// capture failures into reports); an escaping exception terminates.
+  /// Jobs must not throw — wrap the body (serve captures failures into its
+  /// responses); an escaping exception terminates.
   void submit(std::function<void()> fn, int priority = 0);
 
-  /// Run the worker loop on the calling thread until every submitted job
-  /// has finished (queues empty AND nothing in flight).  Required in
-  /// caller-participates mode; legal but rarely useful in spawn_all mode.
-  void wait_idle();
-
-  /// Stop the workers, drain every queued job, join.  Idempotent; the
-  /// destructor calls it.
+  /// Stop the workers once the queue is empty, join them, and run anything
+  /// submitted meanwhile on the calling thread.  Idempotent; the destructor
+  /// calls it.
   void shutdown();
 
   int num_workers() const { return num_workers_; }
-  /// Jobs executed by a worker other than the deque they were submitted to.
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
   std::uint64_t executed() const {
     return executed_.load(std::memory_order_relaxed);
   }
@@ -82,79 +55,32 @@ class WorkStealingScheduler {
  private:
   struct Job {
     int priority = 0;
-    std::uint64_t seq = 0;  ///< global submission order, FIFO tie-break
-    std::function<void()> fn;
+    std::uint64_t seq = 0;  ///< submission order, FIFO tie-break
+    mutable std::function<void()> fn;  ///< moved out of the queue's top()
   };
-  struct Deque {
-    std::mutex m;
-    std::deque<Job> jobs;
+  /// priority_queue puts the *greatest* element on top, so "less" means
+  /// "starts later": lower priority, or same priority submitted later.
+  struct StartsLater {
+    bool operator()(const Job& a, const Job& b) const {
+      return a.priority != b.priority ? a.priority < b.priority : a.seq > b.seq;
+    }
   };
 
-  /// Pop the best job of deque `d` (highest priority, lowest seq); false
-  /// when empty.
-  bool pop_best(Deque& d, Job* out);
-  /// One scheduling step for worker `self`: own deque, then steal.  Returns
-  /// false when no job was found anywhere at scan time.
-  bool run_one(std::size_t self);
-  void worker_loop(std::size_t self);
-  /// Bump the wake epoch and notify sleepers (new work, completion-to-idle,
-  /// shutdown).  The epoch makes the sleep race-free: a worker records the
-  /// epoch *before* scanning the deques, so any job pushed after its scan
-  /// bumps the epoch and defeats the wait predicate.
-  void bump_epoch();
+  /// Pop and run the best queued job; false when the queue is empty.
+  /// Entered and left with `lock` held; the job runs unlocked.
+  bool run_next(std::unique_lock<std::mutex>& lock);
+  void worker_loop();
 
   int num_workers_ = 1;
-  bool spawn_all_ = false;
-  std::vector<std::unique_ptr<Deque>> deques_;
-  std::vector<std::thread> threads_;
 
-  std::mutex wake_m_;
-  std::condition_variable wake_cv_;
-  std::uint64_t wake_epoch_ = 0;  ///< guarded by wake_m_
-  bool stopping_ = false;         ///< guarded by wake_m_
+  std::mutex m_;  ///< guards queue_, next_seq_ and stopping_
+  std::condition_variable cv_;
+  std::priority_queue<Job, std::vector<Job>, StartsLater> queue_;
+  std::uint64_t next_seq_ = 0;
+  bool stopping_ = false;
 
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> next_deque_{0};
-  std::atomic<std::int64_t> pending_{0};  ///< queued + running jobs
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> executed_{0};
+  std::vector<std::thread> threads_;  ///< last: the workers use the above
 };
-
-/// parallel_for on the work-stealing scheduler: run fn(i) for i in
-/// [0, count) on `threads` workers (caller participates), uniform priority.
-/// Same error contract as parallel_for: the first exception stops later
-/// jobs from running their body and is rethrown on the calling thread once
-/// the pool drains.  `out_steals` (optional) receives the steal count.
-template <typename Fn>
-void parallel_for_jobs(std::size_t count, int threads, Fn&& fn,
-                       std::uint64_t* out_steals = nullptr) {
-  threads = resolve_worker_threads(threads, count);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    if (out_steals) *out_steals = 0;
-    return;
-  }
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  {
-    WorkStealingScheduler sched(threads);
-    for (std::size_t i = 0; i < count; ++i) {
-      sched.submit([&, i] {
-        if (failed.load(std::memory_order_relaxed)) return;
-        try {
-          fn(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      });
-    }
-    sched.wait_idle();
-    if (out_steals) *out_steals = sched.steals();
-  }
-  if (error) std::rethrow_exception(error);
-}
 
 }  // namespace sitm

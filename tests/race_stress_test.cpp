@@ -1,9 +1,9 @@
 // Concurrency stress for the components that share mutable state across
-// threads: the work-stealing scheduler (submit / steal / wait_idle /
-// shutdown), the sharded FlowCache (get / insert / evict / clear under
-// contention), the SlabPool under the shard-lock discipline with blocks
-// crossing threads, the unix-socket serve loop (connect / request /
-// shutdown races), and the batch watchdog racing item completion.
+// threads: the serve job pool (submit / shutdown / drain), the sharded
+// FlowCache (get / insert / evict / clear under contention), the SlabPool
+// under the shard-lock discipline with blocks crossing threads, the
+// unix-socket serve loop (connect / request / shutdown races), and the
+// batch watchdog racing item completion.
 //
 // These tests assert functional invariants (counts, payload integrity,
 // response well-formedness), but their real assertion is the *absence of
@@ -40,22 +40,22 @@ namespace {
 
 constexpr int kThreads = 4;
 
-// ---- WorkStealingScheduler ----------------------------------------------
+// ---- JobPool -------------------------------------------------------------
 
 TEST(RaceStress, SchedulerSubmitStealShutdown) {
+  // Three producer threads submit while four workers pop.
   constexpr int kProducers = 3;
   constexpr int kJobsPerProducer = 400;
   std::atomic<int> executed{0};
   std::vector<std::atomic<int>> slots(kProducers * kJobsPerProducer);
 
-  auto sched =
-      std::make_unique<WorkStealingScheduler>(kThreads, /*spawn_all=*/true);
+  auto pool = std::make_unique<JobPool>(kThreads);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kJobsPerProducer; ++i) {
         const int slot = p * kJobsPerProducer + i;
-        sched->submit(
+        pool->submit(
             [&, slot] {
               slots[static_cast<std::size_t>(slot)].fetch_add(
                   1, std::memory_order_relaxed);
@@ -66,9 +66,9 @@ TEST(RaceStress, SchedulerSubmitStealShutdown) {
     });
   }
   for (auto& t : producers) t.join();
-  // Destroying the scheduler shuts down and drains: every job must have run
+  // Destroying the pool shuts down and drains: every job must have run
   // exactly once, whether it ran on a worker or on the draining thread.
-  sched.reset();
+  pool.reset();
   EXPECT_EQ(executed.load(), kProducers * kJobsPerProducer);
   for (auto& s : slots) EXPECT_EQ(s.load(), 1);
 }
@@ -80,15 +80,14 @@ TEST(RaceStress, SchedulerShutdownRacesLateSubmitters) {
   for (int round = 0; round < 8; ++round) {
     std::atomic<int> executed{0};
     std::atomic<int> submitted{0};
-    auto sched =
-        std::make_unique<WorkStealingScheduler>(kThreads, /*spawn_all=*/true);
+    auto pool = std::make_unique<JobPool>(kThreads);
     std::vector<std::thread> producers;
     for (int p = 0; p < 2; ++p) {
       producers.emplace_back([&] {
         // Bounded: shutdown() drains queued jobs, so an unbounded producer
         // could outpace the drain and livelock the test.
         for (int i = 0; i < 200; ++i) {
-          sched->submit(
+          pool->submit(
               [&] { executed.fetch_add(1, std::memory_order_relaxed); });
           submitted.fetch_add(1, std::memory_order_relaxed);
         }
@@ -96,28 +95,11 @@ TEST(RaceStress, SchedulerShutdownRacesLateSubmitters) {
     }
     while (submitted.load(std::memory_order_relaxed) < 50)
       std::this_thread::yield();
-    sched->shutdown();  // races the producers' submit() calls
+    pool->shutdown();  // races the producers' submit() calls
     for (auto& t : producers) t.join();
-    sched.reset();  // drains anything submitted after shutdown() returned
+    pool.reset();  // drains anything submitted after shutdown() returned
     EXPECT_EQ(executed.load(), submitted.load());
   }
-}
-
-TEST(RaceStress, SchedulerWaitIdleVsCrossThreadSubmit) {
-  // Caller-participates mode with submissions arriving from other threads
-  // while worker 0 (this thread) is inside wait_idle().
-  constexpr int kJobs = 600;
-  WorkStealingScheduler sched(kThreads);
-  std::atomic<int> executed{0};
-  std::thread producer([&] {
-    for (int i = 0; i < kJobs; ++i)
-      sched.submit([&] { executed.fetch_add(1, std::memory_order_relaxed); },
-                   i % 3);
-  });
-  producer.join();
-  sched.wait_idle();
-  EXPECT_EQ(executed.load(), kJobs);
-  EXPECT_EQ(sched.executed(), static_cast<std::uint64_t>(kJobs));
 }
 
 // ---- FlowCache -----------------------------------------------------------
@@ -261,7 +243,10 @@ std::string roundtrip(int fd, const std::string& line) {
 }
 
 TEST(RaceStress, ServeSocketConnectRequestShutdown) {
-  const std::string path = testing::TempDir() + "race_stress_serve.sock";
+  // Per-process name: serve_socket replaces an existing socket file, so a
+  // fixed name lets two concurrent test processes unlink each other's.
+  const std::string path = testing::TempDir() + "race_stress_serve." +
+                           std::to_string(getpid()) + ".sock";
   serve::ServeOptions so;
   so.threads = 2;
   so.flow.lint = true;

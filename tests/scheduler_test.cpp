@@ -1,12 +1,12 @@
-// The work-stealing priority scheduler (util/scheduler.hpp), the
-// parallel_for caller-participation contract, and the batch driver's
-// bit-identity across thread counts now that it runs on the scheduler.
+// The serve job pool (util/scheduler.hpp), the parallel_for
+// caller-participation contract, and the batch driver's bit-identity
+// across thread counts on parallel_for.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <stdexcept>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,69 +18,96 @@
 namespace sitm {
 namespace {
 
+/// A job that parks its worker until `open` is set; `parked` counts the
+/// workers it holds.
+std::function<void()> gate(std::atomic<int>& parked, std::atomic<bool>& open) {
+  return [&parked, &open] {
+    parked.fetch_add(1);
+    while (!open.load()) std::this_thread::yield();
+  };
+}
+
+void wait_until(const std::atomic<int>& counter, int value) {
+  while (counter.load() < value) std::this_thread::yield();
+}
+
 TEST(Scheduler, RunsEveryJobOnce) {
-  WorkStealingScheduler sched(4);
   std::vector<std::atomic<int>> ran(100);
+  JobPool pool(4);
   for (std::size_t i = 0; i < ran.size(); ++i)
-    sched.submit([&ran, i] { ran[i].fetch_add(1); });
-  sched.wait_idle();
+    pool.submit([&ran, i] { ran[i].fetch_add(1); });
+  pool.shutdown();
   for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
-  EXPECT_EQ(sched.executed(), ran.size());
+  EXPECT_EQ(pool.executed(), ran.size());
 }
 
 TEST(Scheduler, PriorityOrdersExecutionStart) {
-  // threads = 1, caller-participates: no OS thread is spawned, so nothing
-  // runs until wait_idle() drains the deque on this thread — the pop order
-  // is fully deterministic: highest priority first, FIFO within a priority.
-  WorkStealingScheduler sched(1);
-  std::vector<int> order;
-  sched.submit([&] { order.push_back(0); }, /*priority=*/0);
-  sched.submit([&] { order.push_back(1); }, /*priority=*/5);
-  sched.submit([&] { order.push_back(2); }, /*priority=*/1);
-  sched.submit([&] { order.push_back(3); }, /*priority=*/5);
-  sched.wait_idle();
+  // One worker, parked by a gate job while the rest queue up: once the
+  // gate opens, the start order is fully determined — highest priority
+  // first, FIFO within a priority.
+  JobPool pool(1);
+  std::atomic<int> parked{0};
+  std::atomic<bool> open{false};
+  pool.submit(gate(parked, open));
+  wait_until(parked, 1);
+
+  std::vector<int> order;  // written by the one worker only
+  pool.submit([&] { order.push_back(0); }, /*priority=*/0);
+  pool.submit([&] { order.push_back(1); }, /*priority=*/5);
+  pool.submit([&] { order.push_back(2); }, /*priority=*/1);
+  pool.submit([&] { order.push_back(3); }, /*priority=*/5);
+  open.store(true);
+  pool.shutdown();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 0}));
 }
 
-TEST(Scheduler, StealsFromABlockedWorkersDeque) {
-  WorkStealingScheduler sched(2, /*spawn_all=*/true);
-  std::atomic<bool> started{false}, release{false};
-  sched.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!started.load()) std::this_thread::yield();
+TEST(Scheduler, PriorityIsGlobalAcrossWorkers) {
+  // Both workers parked; three priority-0 jobs and then one priority-9 job
+  // queue up.  Whichever worker frees up first must start the priority-9
+  // job, although it was submitted last: there is no per-worker queue
+  // for the low-priority jobs to hide in front of it.
+  JobPool pool(2);
+  std::atomic<int> parked{0};
+  std::atomic<bool> open_a{false}, open_b{false};
+  pool.submit(gate(parked, open_a));
+  pool.submit(gate(parked, open_b));
+  wait_until(parked, 2);
 
-  // With one worker parked, the other must drain both deques; submissions
-  // round-robin, so some of these jobs sit on the parked worker's deque and
-  // can only complete via a steal.
+  // Worker b stays parked, so worker a runs all four: `order` is written
+  // by one thread and read here only after `done` says it finished.
+  std::vector<int> order;
   std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i)
-    sched.submit([&] { done.fetch_add(1); });
-  while (done.load() < 8) std::this_thread::yield();
-  EXPECT_GE(sched.steals(), 1u);
+  const auto record = [&](int priority) {
+    return [&, priority] {
+      order.push_back(priority);
+      done.fetch_add(1);
+    };
+  };
+  for (int i = 0; i < 3; ++i) pool.submit(record(0), /*priority=*/0);
+  pool.submit(record(9), /*priority=*/9);
 
-  release.store(true);
-  sched.shutdown();
-  EXPECT_EQ(sched.executed(), 9u);
+  open_a.store(true);
+  wait_until(done, 4);
+  EXPECT_EQ(order, (std::vector<int>{9, 0, 0, 0}));
+  open_b.store(true);
+  pool.shutdown();
 }
 
-TEST(Scheduler, ParallelForJobsCoversAllIndices) {
-  std::vector<std::atomic<int>> ran(1000);
-  std::uint64_t steals = ~0ull;
-  parallel_for_jobs(ran.size(), 4, [&](std::size_t i) { ran[i].fetch_add(1); },
-                    &steals);
-  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
-  EXPECT_NE(steals, ~0ull);  // counter was written
-}
+TEST(Scheduler, BlockedWorkerDoesNotStallTheQueue) {
+  JobPool pool(2);
+  std::atomic<int> parked{0};
+  std::atomic<bool> open{false};
+  pool.submit(gate(parked, open));
+  wait_until(parked, 1);
 
-TEST(Scheduler, ParallelForJobsRethrowsFirstException) {
-  EXPECT_THROW(
-      parallel_for_jobs(64, 4,
-                        [&](std::size_t i) {
-                          if (i == 3) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  // With one worker parked, the other must run every later job.
+  std::atomic<int> done{0};
+  for (int i = 0; i < 8; ++i) pool.submit([&] { done.fetch_add(1); });
+  wait_until(done, 8);
+
+  open.store(true);
+  pool.shutdown();
+  EXPECT_EQ(pool.executed(), 9u);
 }
 
 TEST(ParallelFor, CallerThreadParticipates) {
@@ -106,7 +133,7 @@ TEST(ParallelFor, CallerThreadParticipates) {
   EXPECT_EQ(arrived.load(), 2);
 }
 
-// ---- batch bit-identity on the scheduler --------------------------------
+// ---- batch bit-identity across thread counts ----------------------------
 
 /// Serialize `j` with the timing/scheduling observables stripped — the only
 /// fields allowed to differ across thread counts.
@@ -115,9 +142,7 @@ std::string normalized(const Json& j) {
     case Json::Kind::kObject: {
       std::string out = "{";
       for (const auto& [k, v] : j.members()) {
-        if (k == "wall_ms" || k == "total_ms" || k == "workers" ||
-            k == "steals")
-          continue;
+        if (k == "wall_ms" || k == "total_ms" || k == "workers") continue;
         out += '"' + k + "\":" + normalized(v) + ',';
       }
       out += '}';
