@@ -1,7 +1,9 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <numeric>
+#include <optional>
 
 #include "core/progress.hpp"
 #include "mlogic/division.hpp"
@@ -67,6 +69,100 @@ struct Candidate {
   Cover quotient, remainder;
   InsertionPlan plan;
   ProgressEstimate estimate;
+};
+
+/// What one candidate's evaluation left behind.  Written only by the task
+/// evaluating it, read after the pass.
+struct Evaluated {
+  bool verified = false;
+  bool abandoned = false;
+  /// The candidate's SG and syntheses (signal-order slots), kept only when
+  /// it finished committable.
+  std::optional<StateGraph> sg;
+  std::vector<SignalSynthesis> syntheses;
+  MapMetrics metrics;  ///< a lower bound only when abandoned or stopped
+  std::size_t states = 0;
+  long signals = 0;    ///< signals synthesized
+};
+
+/// The record the evaluation tasks of one target share, under one mutex:
+/// each candidate's verify status, and the cost of those that finished
+/// committable.  Indices are candidate ranks, across every round.
+class EvalRecord {
+ public:
+  enum class Verdict { kGo, kStop, kAbandon };
+
+  EvalRecord(std::size_t candidates, std::size_t cap)
+      : cap_(cap), slots_(candidates) {}
+
+  /// Does candidate i still belong to the evaluated set?  Once the verified
+  /// candidates before it fill the cap it never will, and after a failed
+  /// task none of the work matters.
+  Verdict claim(std::size_t i) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return failed_ || verified_before(i) >= cap_ ? Verdict::kStop
+                                                 : Verdict::kGo;
+  }
+
+  /// Should candidate i, whose partial cost is `partial` over an SG of
+  /// `states` states, synthesize its next signal?  It is abandoned once it
+  /// cannot beat a finished committable candidate of lower rank; a tie
+  /// loses when its states are no fewer, as in the final selection.
+  Verdict judge(std::size_t i, const MapMetrics& partial, std::size_t states) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (failed_ || verified_before(i) >= cap_) return Verdict::kStop;
+    for (std::size_t j = 0; j < i; ++j) {
+      const Slot& s = slots_[j];
+      if (s.status == Status::kCommittable &&
+          cannot_improve(partial, s.metrics, states >= s.states))
+        return Verdict::kAbandon;
+    }
+    return Verdict::kGo;
+  }
+
+  void verified(std::size_t i, bool ok) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    slots_[i].status = ok ? Status::kVerified : Status::kRejected;
+  }
+
+  void committable(std::size_t i, const MapMetrics& metrics,
+                   std::size_t states) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    slots_[i] = Slot{Status::kCommittable, metrics, states};
+  }
+
+  void fail() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    failed_ = true;
+  }
+
+ private:
+  enum class Status : unsigned char {
+    kPending,
+    kRejected,
+    kVerified,
+    kCommittable,
+  };
+  struct Slot {
+    Status status = Status::kPending;
+    MapMetrics metrics;
+    std::size_t states = 0;
+  };
+
+  /// Verified candidates ranked before i (a lower bound while some of them
+  /// are still pending, exact once they are not).
+  std::size_t verified_before(std::size_t i) const {
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < i; ++j)
+      n += slots_[j].status == Status::kVerified ||
+           slots_[j].status == Status::kCommittable;
+    return n;
+  }
+
+  const std::size_t cap_;
+  std::mutex mutex_;  // guards slots_ and failed_
+  std::vector<Slot> slots_;
+  bool failed_ = false;
 };
 
 }  // namespace
@@ -162,7 +258,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
     const MapMetrics current_metrics =
         metrics_of(result.syntheses, opts.library);
     // Shared per-iteration verification state: the persistency baseline of
-    // `sg` is candidate-independent, so every pre-check round below reuses
+    // `sg` is candidate-independent, so every candidate task below reuses
     // it (the verifier is const and safe to share across the worker pool).
     const InsertionVerifier verifier(sg);
 
@@ -213,151 +309,136 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
 
       // ---- full evaluation (resynthesis from scratch) ------------------
       // Every candidate evaluation reads only the shared (const) SG and its
-      // own plan, so both steps fan out to a worker pool
-      // (MapperOptions::threads): the insert/verify pre-check in rank-order
-      // rounds, each round's verified candidates fully resynthesized before
-      // the next round starts.  The evaluated set — the first
-      // max_full_evals candidates whose insertion verifies — and the winner
-      // — the best (metrics, states) key, earliest candidate on ties — are
-      // both determined in candidate order, so the mapped result and the
-      // search counters are bit-identical to the serial loop at every
-      // thread count.  With prune_pre_checks the loop additionally stops
-      // at the first round boundary where a committable running best
-      // exists: the pruned candidates carry estimates no better than what
-      // already won, and never pay for insert_signal/verify_insertion.
-      //
-      // A candidate is resynthesized one signal at a time, the target
-      // signal first, and abandoned once its partial cost (a lower bound,
-      // see MapMetrics::add) cannot beat current_metrics or the running
-      // best of the earlier rounds.  Those have lower indices, so a tie
-      // loses to them too.  An abandoned candidate could never have been
-      // committed, so the winner and the evaluated set are unchanged.
-      struct Evaluated {
-        StateGraph sg;
-        std::vector<SignalSynthesis> syntheses;  ///< signal-order slots
-        const Candidate* candidate = nullptr;
-        MapMetrics metrics;  ///< a lower bound only when abandoned
-        std::size_t states = 0;
-        long signals = 0;    ///< signals synthesized
-        bool abandoned = false;
-      };
+      // own plan, so each candidate is one task — insert, verify, then
+      // resynthesize one signal at a time, the target signal first — and a
+      // round's tasks run in one parallel_for (MapperOptions::threads) with
+      // no barrier in between.  A round is the whole ranked list, or 8
+      // candidates with prune_pre_checks; the width never depends on the
+      // thread count.  The tasks meet only in the EvalRecord, read once
+      // per synthesized signal:
+      //  - a candidate stops (or never starts) once the verified
+      //    candidates ranked before it fill max_full_evals;
+      //  - it is abandoned once its partial cost (a lower bound, see
+      //    MapMetrics::add) cannot beat current_metrics, or a finished,
+      //    committable candidate of lower rank.
+      // After the pass a serial walk in rank order takes the first `cap`
+      // verified candidates as the evaluated set, and the winner is the
+      // best committable (metrics, states) key among them, the earliest on
+      // ties.  A lower-ranked candidate that beats candidate k is in the
+      // evaluated set whenever k is, so no abandoned candidate could have
+      // won, and the evaluated set and the winner are bit-identical at
+      // every thread count.  At 1 thread the candidates run in rank order,
+      // each one seeing every lower-ranked candidate finished.  The
+      // guard is charged one `map.candidates` unit per candidate claimed, so
+      // a candidate skipped past the cap costs nothing.  With
+      // prune_pre_checks the loop stops at the first round boundary where
+      // a committable winner exists: the pruned candidates carry estimates
+      // no better than what already won, and never pay for
+      // insert_signal/verify_insertion.
       const std::string name = fresh_name(sg, name_counter);
-      const int eval_threads =
-          resolve_worker_threads(opts.threads, candidates.size());
-      // Round width.  When pruning, the stop decision happens only on round
-      // boundaries, so the width must not depend on the worker count — a
-      // fixed 8 keeps the pruned result bit-identical at every thread
-      // count.  Without pruning the width is unobservable (the evaluated
-      // set is the first `cap` verifying candidates regardless), so one
-      // chunk per worker over-checks at most one chunk past the serial
-      // stop, exactly like the historical pre-check loop.
-      const std::size_t round_width =
-          opts.prune_pre_checks
-              ? std::size_t{8}
-              : static_cast<std::size_t>(std::max(eval_threads, 1));
+      const std::size_t cap =
+          opts.max_full_evals > 0
+              ? static_cast<std::size_t>(opts.max_full_evals)
+              : 0;
+      const int target_signal = target.synth->signal;
+      std::vector<Evaluated> evaluated(candidates.size());
+      EvalRecord record(candidates.size(), cap);
+      auto evaluate = [&](std::size_t i) {
+        using Verdict = EvalRecord::Verdict;
+        if (record.claim(i) == Verdict::kStop) return;
+        Evaluated& ev = evaluated[i];
+        try {
+          guard_charge(guard, 1, "map.candidates");
+          const InsertionPlan& plan = candidates[i].plan;
+          StateGraph next = insert_signal(sg, plan, name);
+          const DynBitset disturbed = disturbed_signals(sg, plan);
+          ev.verified = static_cast<bool>(
+              verifier.verify(next, /*require_csc=*/true, &disturbed));
+          record.verified(i, ev.verified);
+          if (!ev.verified) return;
+          ev.states = next.num_states();
+          const std::vector<int> sigs = next.noninput_signals();
+          std::vector<std::size_t> order(sigs.size());
+          std::iota(order.begin(), order.end(), std::size_t{0});
+          std::stable_partition(
+              order.begin(), order.end(),
+              [&](std::size_t slot) { return sigs[slot] == target_signal; });
+          ev.syntheses.resize(sigs.size());
+          for (const std::size_t slot : order) {
+            const Verdict verdict =
+                cannot_improve(ev.metrics, current_metrics, true)
+                    ? Verdict::kAbandon
+                    : record.judge(i, ev.metrics, ev.states);
+            if (verdict != Verdict::kGo) {
+              ev.abandoned = verdict == Verdict::kAbandon;
+              ev.syntheses.clear();
+              return;
+            }
+            fault::hit("synth.signal");
+            guard_charge(guard, 1, "synth.signal");
+            ev.syntheses[slot] = synthesize_signal(next, sigs[slot], opts.mc);
+            ev.metrics.add(ev.syntheses[slot], opts.library);
+            ++ev.signals;
+          }
+          // Progress requirement: the global cost tuple strictly decreases.
+          // This is the termination measure of the whole loop — temporary
+          // growth of one cover (the acknowledgement literal of Property
+          // 3.2) is fine as long as fewer gates exceed the library.
+          if (!(ev.metrics < current_metrics)) {
+            ev.syntheses.clear();
+            return;
+          }
+          ev.sg = std::move(next);
+          record.committable(i, ev.metrics, ev.states);
+        } catch (...) {
+          record.fail();
+          throw;
+        }
+      };
 
-      std::vector<Evaluated> evaluated;
+      std::size_t num_evaluated = 0;
       std::optional<std::size_t> best_idx;  // committable running best
       auto key = [](const Evaluated& e) {
         return std::make_tuple(e.metrics.tuple(), e.states);
       };
-      {
-        const std::size_t cap =
-            opts.max_full_evals > 0
-                ? static_cast<std::size_t>(opts.max_full_evals)
-                : 0;
-        std::vector<std::optional<StateGraph>> verified;
-        std::size_t pos = 0;
-        while (pos < candidates.size() && evaluated.size() < cap) {
-          if (opts.prune_pre_checks && best_idx) break;
-          const std::size_t chunk =
-              std::min(candidates.size() - pos, round_width);
-          guard_charge(guard, chunk, "map.candidates");
-          verified.assign(chunk, std::nullopt);
-          parallel_for(chunk, eval_threads, [&](std::size_t k) {
-            const InsertionPlan& plan = candidates[pos + k].plan;
-            StateGraph next = insert_signal(sg, plan, name);
-            const DynBitset disturbed = disturbed_signals(sg, plan);
-            if (verifier.verify(next, /*require_csc=*/true, &disturbed))
-              verified[k] = std::move(next);
-          });
-          const std::size_t first_new = evaluated.size();
-          for (std::size_t k = 0; k < chunk && evaluated.size() < cap; ++k) {
-            if (!verified[k]) continue;
-            Evaluated ev;
-            ev.sg = std::move(*verified[k]);
-            ev.candidate = &candidates[pos + k];
-            evaluated.push_back(std::move(ev));
-          }
-          const Evaluated* earlier = best_idx ? &evaluated[*best_idx] : nullptr;
-          auto loses = [&](const Evaluated& ev) {
-            return cannot_improve(ev.metrics, current_metrics, true) ||
-                   (earlier && cannot_improve(ev.metrics, earlier->metrics,
-                                              ev.states >= earlier->states));
-          };
-          const int target_signal = target.synth->signal;
-          parallel_for(
-              evaluated.size() - first_new, eval_threads, [&](std::size_t k) {
-                Evaluated& ev = evaluated[first_new + k];
-                ev.states = ev.sg.num_states();
-                const std::vector<int> sigs = ev.sg.noninput_signals();
-                std::vector<std::size_t> order(sigs.size());
-                std::iota(order.begin(), order.end(), std::size_t{0});
-                std::stable_partition(order.begin(), order.end(),
-                                      [&](std::size_t slot) {
-                                        return sigs[slot] == target_signal;
-                                      });
-                ev.syntheses.resize(sigs.size());
-                for (const std::size_t slot : order) {
-                  if (loses(ev)) {
-                    ev.abandoned = true;
-                    break;
-                  }
-                  fault::hit("synth.signal");
-                  guard_charge(guard, 1, "synth.signal");
-                  ev.syntheses[slot] =
-                      synthesize_signal(ev.sg, sigs[slot], opts.mc);
-                  ev.metrics.add(ev.syntheses[slot], opts.library);
-                  ++ev.signals;
-                }
-              });
-          for (std::size_t i = first_new; i < evaluated.size(); ++i) {
-            result.signals_synthesized += evaluated[i].signals;
-            if (evaluated[i].abandoned) {
-              ++result.candidates_abandoned;
-              continue;
-            }
-            // Progress requirement: the global cost tuple strictly
-            // decreases.  This is the termination measure of the whole loop
-            // — temporary growth of one cover (the acknowledgement literal
-            // of Property 3.2) is fine as long as fewer gates exceed the
-            // library.
-            if (!(evaluated[i].metrics < current_metrics)) continue;
-            if (!best_idx || key(evaluated[i]) < key(evaluated[*best_idx]))
-              best_idx = i;
-          }
-          pos += chunk;
+      for (std::size_t pos = 0;
+           pos < candidates.size() && num_evaluated < cap;) {
+        if (opts.prune_pre_checks && best_idx) break;
+        const std::size_t end =
+            opts.prune_pre_checks ? std::min(candidates.size(), pos + 8)
+                                  : candidates.size();
+        parallel_for(end - pos, opts.threads,
+                     [&](std::size_t k) { evaluate(pos + k); });
+        for (std::size_t i = pos; i < end; ++i) {
+          const Evaluated& ev = evaluated[i];
+          result.signals_synthesized += ev.signals;
+          if (!ev.verified || num_evaluated >= cap) continue;
+          ++num_evaluated;
+          if (ev.abandoned) ++result.candidates_abandoned;
+          if (!ev.sg) continue;
+          if (!best_idx || key(ev) < key(evaluated[*best_idx])) best_idx = i;
         }
+        pos = end;
       }
-      result.resyntheses += static_cast<long>(evaluated.size());
-      Evaluated* best = best_idx ? &evaluated[*best_idx] : nullptr;
-
-      if (best) {
+      result.resyntheses += static_cast<long>(num_evaluated);
+      if (best_idx) {
+        Evaluated& best = evaluated[*best_idx];
+        const InsertionPlan& plan = candidates[*best_idx].plan;
         MapStep step;
         step.new_signal = name;
-        step.divisor = best->candidate->plan.f;
-        step.divisor_reset = best->candidate->plan.f_reset;
-        step.latch = best->candidate->plan.latch;
+        step.divisor = plan.f;
+        step.divisor_reset = plan.f_reset;
+        step.latch = plan.latch;
         step.target_signal = target.synth->signal;
         step.target_event = target.cover->event;
         step.states_before = sg.num_states();
-        step.states_after = best->sg.num_states();
+        step.states_after = best.states;
         step.before = current_metrics;
-        step.after = best->metrics;
+        step.after = best.metrics;
         result.steps.push_back(std::move(step));
 
-        result.syntheses = std::move(best->syntheses);
-        result.sg = std::make_shared<StateGraph>(std::move(best->sg));
+        result.syntheses = std::move(best.syntheses);
+        result.sg = std::make_shared<StateGraph>(std::move(*best.sg));
         ++result.signals_inserted;
         ++name_counter;
         committed = true;

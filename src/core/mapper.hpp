@@ -52,24 +52,24 @@ struct MapperOptions {
   int max_target_events = 4;
   /// How many filtered candidates are fully resynthesized per target.
   int max_full_evals = 12;
-  /// Worker threads for the candidate resynthesis loop.  Each candidate is
-  /// an independent insert/verify/resynthesize over the read-only current
-  /// SG, so candidates are evaluated in parallel and the winner is chosen
-  /// in candidate order — the mapped SG, netlist, steps and search counters
-  /// are bit-identical at every thread count.  1 = serial, 0 = one thread
-  /// per hardware core.
+  /// Worker threads for the candidate evaluation.  Each candidate is one
+  /// task — insert, verify, resynthesize one signal at a time — over the
+  /// read-only current SG, and a round's tasks run in one parallel pass with
+  /// no barrier in between.  The evaluated set and the winner are chosen in
+  /// candidate order after the pass, so the mapped SG, netlist, steps and
+  /// search counters are bit-identical at every thread count.  1 = serial,
+  /// 0 = one thread per hardware core.
   int threads = 1;
-  /// Prune the insert/verify pre-check: candidates are evaluated in
-  /// fixed-size rounds (thread-count independent), and once a fully
-  /// resynthesized candidate already beats the pre-insertion metrics (a
-  /// committable running best exists), the remaining candidates — ranked no
-  /// better by the Property 3.1/3.2 estimates — are never inserted,
-  /// verified or resynthesized.  Like CscOptions::rank_top_k this trades
-  /// the exhaustive winner for the best of the leading rounds: the mapper
-  /// may commit a different, equally progress-making decomposition, but the
-  /// result is still bit-identical across thread counts for fixed options.
-  /// false (the default) evaluates every ranked candidate, bit-identical to
-  /// the historical loop.
+  /// Prune the insert/verify pre-check: candidates are evaluated in rounds
+  /// of 8 (thread-count independent) instead of one round over the whole
+  /// ranked list, and once a round ends with a committable running best
+  /// (one that beats the pre-insertion metrics), the remaining candidates —
+  /// ranked no better by the Property 3.1/3.2 estimates — are never
+  /// inserted, verified or resynthesized.  Like CscOptions::rank_top_k this
+  /// trades the exhaustive winner for the best of the leading rounds: the
+  /// mapper may commit a different, equally progress-making decomposition,
+  /// but the result is still bit-identical across thread counts for fixed
+  /// options.  false (the default) evaluates every ranked candidate.
   bool prune_pre_checks = false;
 };
 
@@ -126,11 +126,12 @@ struct MapResult {
   /// 3.1/3.2 ranking is meant to save).
   long candidates_planned = 0;
   long resyntheses = 0;
-  /// Work counters: resynthesized candidates abandoned before their last
-  /// signal, and single-signal syntheses run (input SG included).  Unlike
-  /// the counters above they depend on the thread count, since a candidate
-  /// is only compared against the winners of earlier rounds, and a round is
-  /// `threads` candidates wide (8 with prune_pre_checks).
+  /// Work counters: evaluated candidates abandoned before their last
+  /// signal, and single-signal syntheses run (input SG included).  Exact at
+  /// 1 thread; at more threads they may vary from run to run, since a
+  /// candidate is abandoned against whichever lower-ranked candidates have
+  /// finished by then, and a candidate past max_full_evals may be partly
+  /// synthesized before that is known.
   long candidates_abandoned = 0;
   long signals_synthesized = 0;
   /// Final SG (with the inserted signals) and its synthesis, made with the
@@ -151,10 +152,11 @@ struct MapResult {
 
 /// Map `sg` onto the library in `opts`.  The input SG must satisfy the flow
 /// preconditions (consistency, speed-independence, CSC); throws otherwise.
-/// `guard` (optional) bounds the search — polled at every iteration, per
-/// pre-check round and per synthesized signal — and throws GuardExhausted on
-/// exhaustion (no partial MapResult: an uncommitted decomposition has no
-/// netlist worth degrading to).
+/// `guard` (optional) bounds the search — polled at every iteration, and
+/// charged one `map.candidates` unit per candidate claimed for evaluation
+/// and one `synth.signal` unit per synthesized signal — and throws
+/// GuardExhausted on exhaustion (no partial MapResult: an uncommitted
+/// decomposition has no netlist worth degrading to).
 MapResult technology_map(const StateGraph& sg, const MapperOptions& opts = {},
                          const RunGuard* guard = nullptr);
 

@@ -204,6 +204,63 @@ TEST_F(FaultTest, MapperPerSignalResynthesisPolls) {
   }
 }
 
+TEST_F(FaultTest, ParallelMapperFailsTypedWhileWorkersAreMidCandidate) {
+  // At 4 map threads a target's candidates are evaluated as concurrent
+  // tasks.  A failure inside one task must stop the others and surface as
+  // one typed map-stage failure: the run returns, without hanging on a
+  // worker and without std::terminate from a second in-flight throw.
+  const StateGraph input = bench::make_parallelizer(5).to_state_graph();
+  FlowOptions opts;
+  opts.mapper.threads = 4;
+
+  // A clean run with synth.signal armed out of reach counts the synth
+  // stage's signals; the mapper's initial synthesis of the same SG hits as
+  // many again.  Fire on the first candidate signal, and on one well inside
+  // the candidate evaluation.
+  fault::arm("synth.signal", fault::Action::kBudget,
+             std::numeric_limits<std::uint64_t>::max());
+  Flow counting(opts);
+  const FlowReport clean = counting.run_state_graph(input, "par5");
+  ASSERT_TRUE(clean.ok) << clean.failure;
+  const auto synth_signals = clean.stage(Stage::kSynth).metric_value("signals");
+  const auto map_signals =
+      clean.stage(Stage::kMap).metric_value("signals_synthesized");
+  ASSERT_TRUE(synth_signals && map_signals);
+  const auto synth_hits = static_cast<std::uint64_t>(*synth_signals);
+  const auto candidate_hits =
+      static_cast<std::uint64_t>(*map_signals) - synth_hits;
+  ASSERT_GT(candidate_hits, 8u);
+  for (const std::uint64_t nth :
+       {2 * synth_hits + 1, 2 * synth_hits + candidate_hits / 2}) {
+    fault::clear();
+    fault::arm("synth.signal", fault::Action::kBudget, nth);
+    Flow flow(opts);
+    const FlowReport report = flow.run_state_graph(input, "par5");
+    ASSERT_FALSE(report.ok) << nth;
+    EXPECT_TRUE(fault::fired("synth.signal")) << nth;
+    EXPECT_EQ(report.failed_stage, Stage::kMap) << nth;
+    EXPECT_EQ(report.failure_kind, FailureKind::kBudget) << nth;
+  }
+  fault::clear();
+
+  // A work budget that runs out at the first candidate claim: the flow up
+  // to decomp, then the mapper's initial synthesis, fit in it exactly.
+  FlowOptions front = opts;
+  front.stop_after = Stage::kDecomp;
+  front.guard = std::make_shared<RunGuard>();
+  Flow measuring(front);
+  ASSERT_TRUE(measuring.run_state_graph(input, "par5").ok);
+  FlowOptions budgeted = opts;
+  budgeted.work_budget = front.guard->work() + synth_hits;
+  Flow flow(budgeted);
+  const FlowReport report = flow.run_state_graph(input, "par5");
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.failed_stage, Stage::kMap);
+  EXPECT_EQ(report.failure_kind, FailureKind::kBudget);
+  EXPECT_NE(report.failure.find("map.candidates"), std::string::npos)
+      << report.failure;
+}
+
 TEST_F(FaultTest, CscExhaustionUnderFailPolicyIsTyped) {
   // Trip at the very first scored candidate: nothing committable exists
   // yet, so the stage fails typed with the engine's explanation.

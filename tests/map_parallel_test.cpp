@@ -115,6 +115,44 @@ TEST(MapParallel, GeneratorFamiliesBitIdentical) {
   }
 }
 
+TEST(MapParallel, FusedEvaluationDeterministicUnderAnySchedule) {
+  // A target's candidates run as one task each with no barrier between
+  // them, so which candidate finishes first changes from run to run.  The
+  // result must not: every thread count, and repeated runs at 4 threads,
+  // reproduce the serial fingerprint.  The serial work counters are pinned
+  // to the values of the earlier round-by-round loop (one candidate per
+  // round at 1 thread), proving the serial path runs the same thresholds
+  // in the same order.
+  struct Workload {
+    const char* name;
+    StateGraph sg;
+    long abandoned;
+    long signals;
+  };
+  const Workload workloads[] = {
+      {"parallelizer(6)", bench::make_parallelizer(6).to_state_graph(), 5,
+       351},
+      {"combo(5,3)", bench::make_combo(5, 3).to_state_graph(), 19, 302},
+  };
+  for (const Workload& w : workloads) {
+    MapperOptions serial;
+    serial.library.max_literals = 2;
+    serial.threads = 1;
+    const MapResult serial_result = technology_map(w.sg, serial);
+    const MapFingerprint ref = fingerprint_of(serial_result);
+    EXPECT_TRUE(ref.ok) << w.name;
+    EXPECT_EQ(serial_result.candidates_abandoned, w.abandoned) << w.name;
+    EXPECT_EQ(serial_result.signals_synthesized, w.signals) << w.name;
+
+    for (const int threads : {2, 3, 4, 8, 4, 4, 4, 4}) {
+      MapperOptions opts = serial;
+      opts.threads = threads;
+      EXPECT_EQ(fingerprint_of(technology_map(w.sg, opts)), ref)
+          << w.name << " at " << threads << " map-threads";
+    }
+  }
+}
+
 TEST(MapParallel, PrunedPreChecksThreadIdenticalAndStillImplementable) {
   // MapperOptions::prune_pre_checks stops the insert/verify pre-check once
   // a committable winner exists.  The prune decision sits on fixed-width
