@@ -8,16 +8,18 @@ Usage:
                      [--speedup SLOW/FAST:MIN ...]
 
 Both files are google-benchmark JSON reports (bench/run_bench.sh output).
+The checked-in baseline is recorded with repetitions (see run_bench.sh),
+so it holds a median per benchmark; see load_benchmarks.
 Benchmarks are matched by name; a benchmark regresses when its fresh
 real_time exceeds the baseline by more than --threshold percent (default
 25).  Only names matching --names (default: everything) are gated;
 benchmarks present in one file only are reported but never fail the gate.
 
-Because the baseline is produced on the repo's single-core benchmark
-container and the fresh run typically is not (CI runners differ in CPU,
-load and frequency scaling), raw cross-machine ratios are dominated by
-machine speed.  By default the gate therefore normalizes: each benchmark's
-ratio is divided by the median ratio over all matched benchmarks, so a
+Because the baseline is produced on one host (run_bench.sh stamps its
+core count and CPU into the report) and the fresh run typically on
+another (CI runners differ in CPU, load and frequency scaling), raw
+cross-machine ratios are dominated by machine speed.  By default the gate
+therefore normalizes: each benchmark's ratio is divided by the median ratio over all matched benchmarks, so a
 uniform machine-speed shift cancels and only benchmarks that regressed
 *relative to the rest of the suite* fail.  --no-normalize gates on raw
 ratios instead (sensible when both runs come from the same machine).
@@ -25,8 +27,8 @@ ratios instead (sensible when both runs come from the same machine).
 Thread-scaling benchmarks (names matching --thread-scaling; the default
 covers the two thread-count sweeps in bench_scaling.cpp) are only
 comparable between machines with the same core count:
-a baseline recorded on the single-core container pins no speedup an
-8-core runner should reproduce, and vice versa.  run_bench.sh stamps
+a baseline recorded on a single-core host pins no speedup an 8-core
+runner should reproduce, and vice versa.  run_bench.sh stamps
 "host": {"nproc", "fingerprint"} into its reports; when both reports
 carry a core count (host.nproc, falling back to google-benchmark's
 context.num_cpus) and the counts differ, thread-scaling benchmarks are
@@ -70,18 +72,30 @@ def host_nproc(report):
 
 
 def load_benchmarks(report, path):
-    """name -> real_time in nanoseconds, iteration entries only."""
+    """name -> real_time in nanoseconds.
+
+    A report made with --benchmark_repetitions carries a "median"
+    aggregate per benchmark; it stands for that benchmark instead of any
+    single repetition.  Otherwise the iteration entry is used.  The other
+    aggregates (mean, stddev, cv) are skipped.
+    """
     to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-    out = {}
+    out, medians = {}, {}
     for bm in report.get("benchmarks", []):
-        if bm.get("run_type", "iteration") != "iteration":
-            continue  # skip mean/median/stddev aggregates
+        run_type = bm.get("run_type", "iteration")
+        if run_type == "iteration":
+            target, name = out, bm["name"]
+        elif bm.get("aggregate_name") == "median":
+            target, name = medians, bm.get("run_name", bm["name"])
+        else:
+            continue
         unit = bm.get("time_unit", "ns")
         if unit not in to_ns:
             print(f"compare_bench: unknown time_unit '{unit}' in {path}",
                   file=sys.stderr)
             sys.exit(2)
-        out[bm["name"]] = float(bm["real_time"]) * to_ns[unit]
+        target[name] = float(bm["real_time"]) * to_ns[unit]
+    out.update(medians)
     if not out:
         print(f"compare_bench: no benchmark entries in {path}",
               file=sys.stderr)
@@ -150,9 +164,11 @@ def main():
           f"+{args.threshold:g}%"
           + ("" if args.no_normalize
              else f", machine-speed normalizer {norm:.3f}x (median ratio)"))
-    print("note: the checked-in baseline comes from the single-core "
-          "benchmark container; absolute times on other machines differ "
-          "and only the normalized spread is meaningful there.")
+    where = (f"a {base_cores}-core host" if base_cores is not None
+             else "an unstamped host")
+    print(f"note: the baseline was recorded on {where}; absolute times on "
+          "other machines differ and only the normalized spread is "
+          "meaningful there.")
     if skipped_scaling:
         print(f"note: core counts differ (baseline {base_cores}, fresh "
               f"{fresh_cores}); skipping {len(skipped_scaling)} "

@@ -7,7 +7,15 @@
 # Builds the bench target if needed, then overwrites BENCH_scaling.json at
 # the repository root (set BENCH_OUT to write elsewhere — CI uses this to
 # produce a fresh run for bench/compare_bench.py without touching the
-# checked-in baseline).  Compare two checkouts with e.g.:
+# checked-in baseline).  The checked-in baseline is the median of five
+# interleaved repetitions per benchmark, which bench/compare_bench.py reads
+# in place of a single run:
+#
+#   bench/run_bench.sh build --benchmark_repetitions=5 \
+#     --benchmark_enable_random_interleaving=true \
+#     --benchmark_report_aggregates_only=true
+#
+# Compare two checkouts with e.g.:
 #
 #   jq -r '.benchmarks[] | "\(.name) \(.real_time)"' BENCH_scaling.json
 
@@ -31,7 +39,7 @@ cmake --build "$build_dir" --target bench_scaling -j"$(nproc)"
 
 # Stamp the host shape into the report.  compare_bench.py uses host.nproc to
 # decide whether thread-scaling benchmarks are comparable at all: a baseline
-# from the single-core container says nothing about 8-thread speedups.
+# from a single-core host says nothing about 8-thread speedups.
 cpu_model="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null \
   | head -1)"
 [[ -n "$cpu_model" ]] || cpu_model="$(uname -m)"

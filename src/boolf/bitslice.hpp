@@ -69,4 +69,10 @@ class BitSlicedOffSet {
 Cube expand_minterm(std::uint64_t code, const BitSlicedOffSet& off,
                     const std::vector<int>& var_order);
 
+/// expand_minterm without its degenerate-input check: `code` must not be
+/// one of the off-minterms (minimize_onoff has already proven its on- and
+/// off-sets disjoint).  Returns the same cube under that precondition.
+Cube expand_disjoint_minterm(std::uint64_t code, const BitSlicedOffSet& off,
+                             const std::vector<int>& var_order);
+
 }  // namespace sitm

@@ -12,6 +12,11 @@ namespace sitm {
 
 namespace {
 
+std::uint64_t var_mask(int num_vars) {
+  return num_vars >= 64 ? ~std::uint64_t{0}
+                        : ((std::uint64_t{1} << num_vars) - 1);
+}
+
 bool cube_hits_off(const Cube& c, const std::vector<std::uint64_t>& off) {
   for (const auto code : off)
     if (c.contains_code(code)) return true;
@@ -36,6 +41,35 @@ struct CubeHash {
 using CubeSet = FlatMap<Cube, char, CubeHash>;
 
 }  // namespace
+
+int separating_literals_lower_bound(const std::vector<std::uint64_t>& on,
+                                    const std::vector<std::uint64_t>& off,
+                                    int num_vars, int enough) {
+  if (enough <= 0) return 0;
+  const std::uint64_t mask = var_mask(num_vars);
+  // The relation is symmetric: probe each code of the smaller list against
+  // the sorted larger one.
+  const bool on_probes = on.size() <= off.size();
+  const auto& probes = on_probes ? on : off;
+  std::vector<std::uint64_t> table;
+  table.reserve(on_probes ? off.size() : on.size());
+  for (const auto c : on_probes ? off : on) table.push_back(c & mask);
+  std::sort(table.begin(), table.end());
+
+  std::uint64_t found = 0;  // variables already counted
+  int count = 0;
+  for (const auto raw : probes) {
+    const std::uint64_t code = raw & mask;
+    for (std::uint64_t todo = mask & ~found; todo != 0; todo &= todo - 1) {
+      const std::uint64_t bit = todo & (~todo + 1);
+      if (!std::binary_search(table.begin(), table.end(), code ^ bit))
+        continue;
+      found |= bit;
+      if (++count >= enough) return count;
+    }
+  }
+  return count;
+}
 
 Cube expand_minterm(std::uint64_t code, const std::vector<std::uint64_t>& off,
                     int num_vars, const std::vector<int>& var_order) {
@@ -241,8 +275,7 @@ std::vector<Cube> irredundant(const std::vector<Cube>& cubes,
 Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
                      const std::vector<std::uint64_t>& off_in, int num_vars,
                      const MinimizeOptions& opts) {
-  const std::uint64_t mask =
-      num_vars >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << num_vars) - 1);
+  const std::uint64_t mask = var_mask(num_vars);
   std::vector<std::uint64_t> on, off;
   on.reserve(on_in.size());
   off.reserve(off_in.size());
@@ -290,7 +323,9 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
   const BitSlicedOffSet sliced =
       slice ? BitSlicedOffSet(off, num_vars) : BitSlicedOffSet{};
   auto expand = [&](std::uint64_t code, const std::vector<int>& order) {
-    return slice ? expand_minterm(code, sliced, order)
+    // The intersection check above rules out the degenerate input, so the
+    // bit-sliced expansion skips its own check.
+    return slice ? expand_disjoint_minterm(code, sliced, order)
                  : expand_minterm(code, off, num_vars, order);
   };
 

@@ -29,6 +29,19 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on,
                      const std::vector<std::uint64_t>& off, int num_vars,
                      const MinimizeOptions& opts = {});
 
+/// Lower bound on the literal count of any cover separating `on` from `off`
+/// (in either direction: the cover of `on` against `off`, or its
+/// complement).  Counts the variables v on which some on-code and some
+/// off-code differ in v alone: the cube covering that on-code (or off-code)
+/// must carry a literal on v, so every such v costs a distinct literal.
+/// Holds for any MinimizeOptions::passes.  Counting stops once it reaches
+/// `enough`, so the result is min(bound, enough) when enough >= 0.  The two
+/// lists must be disjoint (as minimize_onoff requires); codes are masked to
+/// `num_vars` bits.
+int separating_literals_lower_bound(const std::vector<std::uint64_t>& on,
+                                    const std::vector<std::uint64_t>& off,
+                                    int num_vars, int enough);
+
 /// Expand a single minterm into a prime-ish cube against `off`.
 /// `var_order` lists variables in the order literal removal is attempted.
 /// Row-major reference engine; the bit-sliced overload lives in bitslice.hpp

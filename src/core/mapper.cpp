@@ -83,6 +83,7 @@ struct Evaluated {
   MapMetrics metrics;  ///< a lower bound only when abandoned or stopped
   std::size_t states = 0;
   long signals = 0;    ///< signals synthesized
+  long minimizations = 0;  ///< their minimize_onoff calls
 };
 
 /// The record the evaluation tasks of one target share, under one mutex:
@@ -216,6 +217,8 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
   // committed candidate's syntheses.
   synthesize_all(*result.sg, opts.mc, &result.syntheses, guard);
   result.signals_synthesized = static_cast<long>(result.syntheses.size());
+  for (const SignalSynthesis& s : result.syntheses)
+    result.minimizations += s.minimizations;
 
   while (true) {
     guard_check(guard, "map.iteration");
@@ -379,6 +382,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
             ev.syntheses[slot] = synthesize_signal(next, sigs[slot], opts.mc);
             ev.metrics.add(ev.syntheses[slot], opts.library);
             ++ev.signals;
+            ev.minimizations += ev.syntheses[slot].minimizations;
           }
           // Progress requirement: the global cost tuple strictly decreases.
           // This is the termination measure of the whole loop — temporary
@@ -412,6 +416,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         for (std::size_t i = pos; i < end; ++i) {
           const Evaluated& ev = evaluated[i];
           result.signals_synthesized += ev.signals;
+          result.minimizations += ev.minimizations;
           if (!ev.verified || num_evaluated >= cap) continue;
           ++num_evaluated;
           if (ev.abandoned) ++result.candidates_abandoned;

@@ -127,13 +127,16 @@ struct MapResult {
   long candidates_planned = 0;
   long resyntheses = 0;
   /// Work counters: evaluated candidates abandoned before their last
-  /// signal, and single-signal syntheses run (input SG included).  Exact at
-  /// 1 thread; at more threads they may vary from run to run, since a
-  /// candidate is abandoned against whichever lower-ranked candidates have
+  /// signal, single-signal syntheses run (input SG included), and the
+  /// minimize_onoff calls those syntheses made (abandoned candidates
+  /// included; see SignalSynthesis::minimizations).  Exact at 1 thread; at
+  /// more threads they may vary from run to run, since a candidate is
+  /// abandoned against whichever lower-ranked candidates have
   /// finished by then, and a candidate past max_full_evals may be partly
   /// synthesized before that is known.
   long candidates_abandoned = 0;
   long signals_synthesized = 0;
+  long minimizations = 0;
   /// Final SG (with the inserted signals) and its synthesis, made with the
   /// mapper's McOptions::architecture and minimize_passes.
   std::shared_ptr<StateGraph> sg;

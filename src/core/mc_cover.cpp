@@ -39,57 +39,91 @@ DynBitset monotonicity_violations(const StateGraph& sg, const Cover& cover,
   return bad;
 }
 
-}  // namespace
+/// Gate complexity of a function whose minimized cover is `cover`:
+/// min(lit(cover), lit(complement)), the complement minimized over the same
+/// on/off codes with the roles swapped.  The complement is minimized only
+/// when the separating-literal lower bound (which binds it too) leaves room
+/// for it to be smaller; `minimizations` counts the minimize_onoff calls.
+int gate_complexity_of(const Cover& cover,
+                       const std::vector<std::uint64_t>& on_codes,
+                       const std::vector<std::uint64_t>& off_codes,
+                       int num_vars, const MinimizeOptions& mopts,
+                       int& minimizations) {
+  const int lits = cover.num_literals();
+  if (lits <= 1 ||
+      separating_literals_lower_bound(on_codes, off_codes, num_vars, lits) >=
+          lits)
+    return lits;
+  ++minimizations;
+  return std::min(lits, minimize_onoff(off_codes, on_codes, num_vars, mopts)
+                            .num_literals());
+}
 
-EventCover monotonous_cover(const StateGraph& sg, Event e,
-                            const McOptions& opts) {
+/// monotonous_cover over the precomputed reachable set of `sg`.
+EventCover event_cover(const StateGraph& sg, const DynBitset& reachable,
+                       Event e, const McOptions& opts, int& minimizations) {
   EventCover out;
   out.event = e;
   out.regions = excitation_regions(sg, e);
 
   out.on = union_er(sg, out.regions);
   out.dc = union_qr(sg, out.regions);
-  const DynBitset reachable = sg.reachable();
   out.off = reachable - out.on - out.dc;
 
   const MinimizeOptions mopts{opts.minimize_passes};
   const auto on_codes = codes_of(sg, out.on);
+  std::vector<std::uint64_t> off_codes;
 
   // Repair loop: enforce condition 3 by moving rising quiescent states to
   // the off-set and re-minimizing.  Terminates because each round shrinks
   // the don't-care set.
   while (true) {
-    out.cover = minimize_onoff(on_codes, codes_of(sg, out.off),
-                               sg.num_signals(), mopts);
+    off_codes = codes_of(sg, out.off);
+    out.cover = minimize_onoff(on_codes, off_codes, sg.num_signals(), mopts);
+    ++minimizations;
     const DynBitset bad = monotonicity_violations(sg, out.cover, out.regions);
     if (bad.none()) break;
     out.off |= bad;
     out.dc -= bad;
   }
 
-  // Complemented form (for the min-literal gate measure), minimized with the
-  // final don't-care space: ON and OFF swap roles.
-  out.complement = minimize_onoff(codes_of(sg, out.off), on_codes,
-                                  sg.num_signals(), mopts);
-  out.complexity = std::min(out.cover.num_literals(),
-                            out.complement.num_literals());
+  // The complemented form is judged with the final don't-care space.
+  out.complexity = gate_complexity_of(out.cover, on_codes, off_codes,
+                                      sg.num_signals(), mopts, minimizations);
   return out;
 }
 
-Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
-                     const McOptions& opts) {
+/// complete_cover over the precomputed reachable set of `sg`.
+Cover next_state_cover(const StateGraph& sg, const DynBitset& reachable,
+                       int sig, int* complexity, const McOptions& opts,
+                       int& minimizations) {
   std::vector<std::uint64_t> on, off;
-  const DynBitset reachable = sg.reachable();
   reachable.for_each([&](std::size_t s) {
     const auto id = static_cast<StateId>(s);
     (next_value(sg, id, sig) ? on : off).push_back(sg.code(id));
   });
   const MinimizeOptions mopts{opts.minimize_passes};
-  const Cover direct = minimize_onoff(on, off, sg.num_signals(), mopts);
-  const Cover inverse = minimize_onoff(off, on, sg.num_signals(), mopts);
+  Cover direct = minimize_onoff(on, off, sg.num_signals(), mopts);
+  ++minimizations;
   if (complexity)
-    *complexity = std::min(direct.num_literals(), inverse.num_literals());
+    *complexity = gate_complexity_of(direct, on, off, sg.num_signals(), mopts,
+                                     minimizations);
   return direct;
+}
+
+}  // namespace
+
+EventCover monotonous_cover(const StateGraph& sg, Event e,
+                            const McOptions& opts) {
+  int minimizations = 0;
+  return event_cover(sg, sg.reachable(), e, opts, minimizations);
+}
+
+Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
+                     const McOptions& opts) {
+  int minimizations = 0;
+  return next_state_cover(sg, sg.reachable(), sig, complexity, opts,
+                          minimizations);
 }
 
 SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
@@ -99,9 +133,14 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
 
   SignalSynthesis out;
   out.signal = sig;
-  out.set = monotonous_cover(sg, Event{sig, true}, opts);
-  out.reset = monotonous_cover(sg, Event{sig, false}, opts);
-  out.complete = complete_cover(sg, sig, &out.complete_complexity, opts);
+  const DynBitset reachable = sg.reachable();
+  out.set = event_cover(sg, reachable, Event{sig, true}, opts,
+                        out.minimizations);
+  out.reset = event_cover(sg, reachable, Event{sig, false}, opts,
+                          out.minimizations);
+  out.complete = next_state_cover(sg, reachable, sig,
+                                  &out.complete_complexity, opts,
+                                  out.minimizations);
 
   const int seq = std::max(out.set.complexity, out.reset.complexity);
   switch (opts.architecture) {

@@ -31,9 +31,14 @@ struct EventCover {
   Event event;
   std::vector<Region> regions;  ///< ERs/QRs of the event
   Cover cover;                  ///< minimized monotonous cover
-  Cover complement;             ///< minimized cover of the OFF condition
   DynBitset on, dc, off;        ///< state sets used for minimization
-  int complexity = 0;           ///< min(lit(cover), lit(complement))
+  /// Gate complexity: min(lit(cover), lit(complement)), the complement being
+  /// the OFF condition minimized with the same don't-care space (the
+  /// library holds every gate complemented or not).  Only the complement's
+  /// literal count is used, and the complement is minimized only when
+  /// separating_literals_lower_bound leaves it room to have fewer literals
+  /// than the cover; otherwise the minimum is lit(cover), exactly.
+  int complexity = 0;
 
   bool operator==(const EventCover&) const = default;
 };
@@ -45,9 +50,14 @@ struct SignalSynthesis {
   EventCover set;        ///< a+ cover; the complete cover when combinational
   EventCover reset;      ///< a- cover (empty when combinational)
   Cover complete;        ///< minimized next-state function
+  /// min(lit(complete), lit(its inverse)), skipping the inverse's
+  /// minimization as EventCover::complexity does.
   int complete_complexity = 0;
   /// Worst gate complexity of the chosen implementation.
   int complexity = 0;
+  /// minimize_onoff calls this synthesis made: the cover of each repair
+  /// round, plus each complement the lower bound could not rule out.
+  int minimizations = 0;
 
   bool operator==(const SignalSynthesis&) const = default;
 };
@@ -80,7 +90,8 @@ struct McOptions {
 EventCover monotonous_cover(const StateGraph& sg, Event e,
                             const McOptions& opts = {});
 
-/// Complete (next-state) cover of a signal plus its complexity.
+/// Complete (next-state) cover of a signal plus its complexity (min of the
+/// cover's and its inverse's literal counts; see EventCover::complexity).
 Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
                      const McOptions& opts = {});
 

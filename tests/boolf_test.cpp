@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "boolf/cover.hpp"
 #include "boolf/cube.hpp"
 #include "boolf/minimize.hpp"
@@ -223,6 +225,78 @@ TEST(Minimize, ExpandFindsPrime) {
   // off = {11}; minterm 00 expands to a' or b'.
   const Cube c = expand_minterm(0b00, {0b11}, 2, {0, 1});
   EXPECT_EQ(c.num_literals(), 1);
+}
+
+TEST(Minimize, SeparatingBoundSingleLiteral) {
+  // f = a over (a, b): every on-code has an off-neighbour across a only.
+  const std::vector<std::uint64_t> on{0b01, 0b11}, off{0b00, 0b10};
+  EXPECT_EQ(separating_literals_lower_bound(on, off, 2, 64), 1);
+  EXPECT_EQ(separating_literals_lower_bound(off, on, 2, 64), 1);
+  EXPECT_EQ(minimize_onoff(on, off, 2).num_literals(), 1);
+}
+
+TEST(Minimize, SeparatingBoundAndGateWithBothNeighbours) {
+  // f = a*b with both distance-1 off-codes listed: a and b each separate,
+  // so no cover (a*b) or complement (a' + b') has fewer than 2 literals.
+  const std::vector<std::uint64_t> on{0b11}, off{0b01, 0b10};
+  EXPECT_EQ(separating_literals_lower_bound(on, off, 2, 64), 2);
+  EXPECT_EQ(separating_literals_lower_bound(off, on, 2, 64), 2);
+  EXPECT_EQ(minimize_onoff(on, off, 2).num_literals(), 2);
+  EXPECT_EQ(minimize_onoff(off, on, 2).num_literals(), 2);
+  // With 10 as the only off-code, only a (bit 0) is forced.
+  EXPECT_EQ(separating_literals_lower_bound(on, {0b10}, 2, 64), 1);
+}
+
+TEST(Minimize, SeparatingBoundStopsAtEnough) {
+  // on = {000}, off = its three neighbours: the full bound is 3.
+  const std::vector<std::uint64_t> on{0b000}, off{0b001, 0b010, 0b100};
+  EXPECT_EQ(separating_literals_lower_bound(on, off, 3, 64), 3);
+  EXPECT_EQ(separating_literals_lower_bound(on, off, 3, 2), 2);
+  EXPECT_EQ(separating_literals_lower_bound(on, off, 3, 1), 1);
+  EXPECT_EQ(separating_literals_lower_bound(on, off, 3, 0), 0);
+  // Codes are masked to num_vars bits, as minimize_onoff masks them.
+  EXPECT_EQ(separating_literals_lower_bound({0b1000}, {0b001}, 3, 64), 1);
+  EXPECT_EQ(separating_literals_lower_bound({}, off, 3, 64), 0);
+}
+
+TEST(Minimize, SeparatingBoundNeverExceedsEitherCover) {
+  // Random walks over the cube give SG-like code sets: many distance-1
+  // on/off pairs, everything unvisited a don't-care.
+  Rng rng(15);
+  int rounds = 0, positive = 0;
+  while (rounds < 2000) {
+    const int n = 3 + static_cast<int>(rng.below(10));
+    const std::uint64_t space = std::uint64_t{1} << n;
+    std::vector<char> side(space, 0);  // 0 dc, 1 on, 2 off
+    std::vector<std::uint64_t> on, off;
+    std::uint64_t code = rng.below(space);
+    const int steps = 2 + static_cast<int>(rng.below(60));
+    for (int step = 0; step < steps; ++step) {
+      if (side[code] == 0) {
+        const auto r = rng.below(3);
+        if (r < 2) {
+          side[code] = static_cast<char>(r + 1);
+          (r == 0 ? on : off).push_back(code);
+        } else {
+          side[code] = 3;  // a visited don't-care
+        }
+      }
+      code ^= std::uint64_t{1} << rng.below(static_cast<std::uint64_t>(n));
+    }
+    if (on.empty() || off.empty()) continue;
+    ++rounds;
+    const int bound = separating_literals_lower_bound(on, off, n, 64);
+    EXPECT_EQ(separating_literals_lower_bound(off, on, n, 64), bound);
+    const int passes = 1 + static_cast<int>(rng.below(2));
+    const MinimizeOptions mopts{passes};
+    EXPECT_LE(bound, minimize_onoff(on, off, n, mopts).num_literals());
+    EXPECT_LE(bound, minimize_onoff(off, on, n, mopts).num_literals());
+    const int enough = static_cast<int>(rng.below(8));
+    EXPECT_EQ(separating_literals_lower_bound(on, off, n, enough),
+              std::min(bound, enough));
+    if (bound > 0) ++positive;
+  }
+  EXPECT_GT(positive, 1000);  // the property is not vacuous
 }
 
 }  // namespace

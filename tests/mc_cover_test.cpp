@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/generators.hpp"
+#include "benchlib/random_stg.hpp"
+#include "benchlib/suite.hpp"
+#include "boolf/minimize.hpp"
 #include "core/mc_cover.hpp"
 #include "util/error.hpp"
 #include "sg/properties.hpp"
@@ -163,6 +166,74 @@ TEST(McCover, CompleteCoverMatchesNextValue) {
       });
       EXPECT_GE(complexity, 0);
     }
+  }
+}
+
+std::vector<std::uint64_t> codes_of(const StateGraph& sg,
+                                    const DynBitset& states) {
+  std::vector<std::uint64_t> out;
+  states.for_each([&](std::size_t s) {
+    out.push_back(sg.code(static_cast<StateId>(s)));
+  });
+  return out;
+}
+
+/// min(lit(cover), lit(complement)) with the complement always minimized:
+/// the unskipped computation the lower-bound shortcut must reproduce.
+int full_min_literals(const std::vector<std::uint64_t>& on,
+                      const std::vector<std::uint64_t>& off, int num_vars,
+                      const MinimizeOptions& mopts) {
+  return std::min(minimize_onoff(on, off, num_vars, mopts).num_literals(),
+                  minimize_onoff(off, on, num_vars, mopts).num_literals());
+}
+
+void expect_complexities_match_full_minimization(const StateGraph& sg,
+                                                 const std::string& label) {
+  for (const int passes : {1, 2}) {
+    McOptions opts;
+    opts.minimize_passes = passes;
+    const MinimizeOptions mopts{passes};
+    const int n = sg.num_signals();
+    for (int sig : sg.noninput_signals()) {
+      const SignalSynthesis synth = synthesize_signal(sg, sig, opts);
+      const std::string where = label + " signal " + sg.signal(sig).name +
+                                " passes " + std::to_string(passes);
+      for (const EventCover* ec : {&synth.set, &synth.reset}) {
+        const auto on = codes_of(sg, ec->on);
+        const auto off = codes_of(sg, ec->off);
+        EXPECT_EQ(ec->complexity, full_min_literals(on, off, n, mopts))
+            << where;
+      }
+      std::vector<std::uint64_t> on, off;
+      sg.reachable().for_each([&](std::size_t s) {
+        const auto id = static_cast<StateId>(s);
+        (next_value(sg, id, sig) ? on : off).push_back(sg.code(id));
+      });
+      EXPECT_EQ(synth.complete_complexity, full_min_literals(on, off, n, mopts))
+          << where;
+      // One cover per event and one complete cover at the least.
+      EXPECT_GE(synth.minimizations, 3) << where;
+    }
+  }
+}
+
+TEST(McCover, SkippedComplementsKeepCorpusComplexities) {
+  int checked = 0;
+  for (const auto& name : bench::suite_names()) {
+    const StateGraph sg = bench::suite_benchmark(name).stg.to_state_graph();
+    if (!check_csc(sg)) continue;  // synthesis requires CSC
+    expect_complexities_match_full_minimization(sg, name);
+    ++checked;
+  }
+  EXPECT_GT(checked, 20);
+}
+
+TEST(McCover, SkippedComplementsKeepRandomSgComplexities) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const StateGraph sg = bench::make_random_stg(seed).to_state_graph();
+    ASSERT_TRUE(check_csc(sg)) << "seed " << seed;
+    expect_complexities_match_full_minimization(
+        sg, "random seed " + std::to_string(seed));
   }
 }
 

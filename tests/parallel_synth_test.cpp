@@ -29,9 +29,10 @@ void expect_same_synthesis(const std::vector<SignalSynthesis>& serial,
     EXPECT_EQ(s.complete_complexity, p.complete_complexity) << label;
     EXPECT_TRUE(s.complete == p.complete) << label;
     EXPECT_TRUE(s.set.cover == p.set.cover) << label;
-    EXPECT_TRUE(s.set.complement == p.set.complement) << label;
+    EXPECT_EQ(s.set.complexity, p.set.complexity) << label;
     EXPECT_TRUE(s.reset.cover == p.reset.cover) << label;
-    EXPECT_TRUE(s.reset.complement == p.reset.complement) << label;
+    EXPECT_EQ(s.reset.complexity, p.reset.complexity) << label;
+    EXPECT_EQ(s.minimizations, p.minimizations) << label;
   }
 }
 
