@@ -180,6 +180,34 @@ void MapMetrics::add(const SignalSynthesis& s, const GateLibrary& library) {
   }
 }
 
+void MapMetrics::add(const MapMetrics& o) {
+  gates_over_library += o.gates_over_library;
+  max_complexity = std::max(max_complexity, o.max_complexity);
+  total_literals += o.total_literals;
+}
+
+MapMetrics metrics_lower_bound(const ComplexityBound& bound,
+                               Architecture architecture,
+                               const GateLibrary& library) {
+  const MapMetrics complete{library.fits(bound.complete) ? 0 : 1,
+                            bound.complete, bound.complete};
+  const MapMetrics standard_c{
+      (library.fits(bound.set) ? 0 : 1) + (library.fits(bound.reset) ? 0 : 1),
+      std::max(bound.set, bound.reset), bound.set + bound.reset};
+  switch (architecture) {
+    case Architecture::kComplexGate:
+      return complete;
+    case Architecture::kStandardC:
+      return standard_c;
+    case Architecture::kAuto:
+      break;
+  }
+  return MapMetrics{
+      std::min(complete.gates_over_library, standard_c.gates_over_library),
+      std::min(complete.max_complexity, standard_c.max_complexity),
+      std::min(complete.total_literals, standard_c.total_literals)};
+}
+
 MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
                       const GateLibrary& library) {
   MapMetrics m;
@@ -202,10 +230,11 @@ Netlist MapResult::build_netlist(const McOptions& mc) const {
 }
 
 MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
-                         const RunGuard* guard) {
+                         const RunGuard* guard,
+                         const std::vector<SignalSynthesis>* syntheses) {
   MapResult result;
   result.sg = std::make_shared<StateGraph>(input);
-  result.sg->prune_unreachable();
+  const bool renumbered = result.sg->prune_unreachable() > 0;
 
   if (auto r = check_implementability(*result.sg); !r)
     throw Error("technology_map: input SG not implementable: " + r.why);
@@ -213,12 +242,24 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
   int name_counter = 0;
   result.architecture = opts.mc.architecture;
   result.minimize_passes = opts.mc.minimize_passes;
-  // The only full synthesis: every later iteration starts from the
-  // committed candidate's syntheses.
-  synthesize_all(*result.sg, opts.mc, &result.syntheses, guard);
-  result.signals_synthesized = static_cast<long>(result.syntheses.size());
-  for (const SignalSynthesis& s : result.syntheses)
-    result.minimizations += s.minimizations;
+  if (syntheses && !renumbered) {
+    const std::vector<int> sigs = input.noninput_signals();
+    if (!std::equal(sigs.begin(), sigs.end(), syntheses->begin(),
+                    syntheses->end(), [](int sig, const SignalSynthesis& s) {
+                      return s.signal == sig;
+                    }))
+      throw Error(
+          "technology_map: syntheses do not match the SG's non-input "
+          "signals");
+    result.syntheses = *syntheses;
+  } else {
+    // The only full synthesis: every later iteration starts from the
+    // committed candidate's syntheses.
+    synthesize_all(*result.sg, opts.mc, &result.syntheses, guard);
+    result.signals_synthesized = static_cast<long>(result.syntheses.size());
+    for (const SignalSynthesis& s : result.syntheses)
+      result.minimizations += s.minimizations;
+  }
 
   while (true) {
     guard_check(guard, "map.iteration");
@@ -321,9 +362,13 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // per synthesized signal:
       //  - a candidate stops (or never starts) once the verified
       //    candidates ranked before it fill max_full_evals;
-      //  - it is abandoned once its partial cost (a lower bound, see
-      //    MapMetrics::add) cannot beat current_metrics, or a finished,
-      //    committable candidate of lower rank.
+      //  - it is abandoned once a lower bound on its cost cannot beat
+      //    current_metrics, or a finished, committable candidate of lower
+      //    rank.  The bound (see MapMetrics::add) counts the signals
+      //    synthesized so far exactly, and every other signal by
+      //    metrics_lower_bound of the complexity_lower_bounds that one
+      //    sweep over the candidate SG's arcs gives, so a candidate that
+      //    cannot win can stop before its first synthesis.
       // After the pass a serial walk in rank order takes the first `cap`
       // verified candidates as the evaluated set, and the winner is the
       // best committable (metrics, states) key among them, the earliest on
@@ -366,12 +411,25 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
           std::stable_partition(
               order.begin(), order.end(),
               [&](std::size_t slot) { return sigs[slot] == target_signal; });
+          // unsynthesized[k]: lower bound on the cost of the signals in
+          // order[k..], from one sweep over next's arcs.
+          const std::vector<ComplexityBound> bounds =
+              complexity_lower_bounds(next);
+          std::vector<MapMetrics> unsynthesized(order.size() + 1);
+          for (std::size_t k = order.size(); k-- > 0;) {
+            unsynthesized[k] = unsynthesized[k + 1];
+            unsynthesized[k].add(metrics_lower_bound(
+                bounds[order[k]], opts.mc.architecture, opts.library));
+          }
           ev.syntheses.resize(sigs.size());
-          for (const std::size_t slot : order) {
+          for (std::size_t k = 0; k < order.size(); ++k) {
+            const std::size_t slot = order[k];
+            MapMetrics bound = ev.metrics;
+            bound.add(unsynthesized[k]);
             const Verdict verdict =
-                cannot_improve(ev.metrics, current_metrics, true)
+                cannot_improve(bound, current_metrics, true)
                     ? Verdict::kAbandon
-                    : record.judge(i, ev.metrics, ev.states);
+                    : record.judge(i, bound, ev.states);
             if (verdict != Verdict::kGo) {
               ev.abandoned = verdict == Verdict::kAbandon;
               ev.syntheses.clear();

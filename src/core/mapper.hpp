@@ -11,10 +11,13 @@
 //       which realizes the paper's global acknowledgement automatically);
 //     commit the candidate with the best global progress, or give up (n.i.).
 //
-// Only the input SG is synthesized with synthesize_all: the committed
-// candidate's syntheses are those of the next SG.  A candidate is
-// resynthesized one signal at a time, and abandoned as soon as its partial
-// cost proves it cannot be committed (see cannot_improve).
+// Only the input SG is synthesized with synthesize_all (or not at all, when
+// the caller hands its syntheses in): the committed candidate's syntheses are
+// those of the next SG.  A candidate is resynthesized one signal at a time,
+// and abandoned as soon as a lower bound on its cost proves it cannot be
+// committed (see cannot_improve): the signals synthesized so far count
+// exactly, every other signal by the arc-sweep bound of
+// complexity_lower_bounds.
 //
 // The paper's tuning knobs (try other events when the worst one is stuck,
 // cap the number of candidates, local-vs-global acknowledgement for the
@@ -89,10 +92,22 @@ struct MapMetrics {
   bool operator==(const MapMetrics& o) const { return tuple() == o.tuple(); }
 
   /// Add the gates of one signal's implementation.  Every component only
-  /// grows, so the cost of a prefix of the signals (in any order) is a
-  /// componentwise, hence lexicographic, lower bound on the full cost.
+  /// grows, so the cost of some of the signals (in any order), plus a
+  /// componentwise lower bound on each of the others (metrics_lower_bound),
+  /// is a componentwise, hence lexicographic, lower bound on the full cost.
   void add(const SignalSynthesis& s, const GateLibrary& library);
+  /// Add the cost of other signals: gate and literal counts sum, the worst
+  /// gate is the larger one.
+  void add(const MapMetrics& o);
 };
+
+/// Componentwise lower bound on `MapMetrics{}.add(synthesis, library)` for
+/// a signal whose complexities `bound` bounds, synthesized under
+/// `architecture`: the complete cover's gate, the set and reset gates, or
+/// (kAuto) the componentwise min of the two.
+MapMetrics metrics_lower_bound(const ComplexityBound& bound,
+                               Architecture architecture,
+                               const GateLibrary& library);
 
 /// Global cost of a full set of syntheses.
 MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
@@ -100,7 +115,8 @@ MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
 
 /// Can no candidate whose cost has the lower bound `partial` beat
 /// `threshold`?  Beating means a strictly smaller cost, or an equal one when
-/// `ties_lose` is false.
+/// `ties_lose` is false.  The mapper's bound is a candidate's synthesized
+/// signals plus metrics_lower_bound of every signal not yet synthesized.
 bool cannot_improve(const MapMetrics& partial, const MapMetrics& threshold,
                     bool ties_lose);
 
@@ -127,7 +143,8 @@ struct MapResult {
   long candidates_planned = 0;
   long resyntheses = 0;
   /// Work counters: evaluated candidates abandoned before their last
-  /// signal, single-signal syntheses run (input SG included), and the
+  /// signal, single-signal syntheses run (the input SG's included unless
+  /// they were handed in), and the
   /// minimize_onoff calls those syntheses made (abandoned candidates
   /// included; see SignalSynthesis::minimizations).  Exact at 1 thread; at
   /// more threads they may vary from run to run, since a candidate is
@@ -159,8 +176,15 @@ struct MapResult {
 /// charged one `map.candidates` unit per candidate claimed for evaluation
 /// and one `synth.signal` unit per synthesized signal — and throws
 /// GuardExhausted on exhaustion (no partial MapResult: an uncommitted
-/// decomposition has no netlist worth degrading to).
+/// decomposition has no netlist worth degrading to).  `syntheses`
+/// (optional) is synthesize_all's output for `sg` under the architecture and
+/// minimize_passes of `opts.mc`; the mapper starts from it instead of
+/// synthesizing `sg` again, unless pruning unreachable states renumbered
+/// `sg` (the covers are state-indexed).  Throws sitm::Error when it does not
+/// list `sg`'s non-input signals in order.
 MapResult technology_map(const StateGraph& sg, const MapperOptions& opts = {},
-                         const RunGuard* guard = nullptr);
+                         const RunGuard* guard = nullptr,
+                         const std::vector<SignalSynthesis>* syntheses =
+                             nullptr);
 
 }  // namespace sitm

@@ -1,6 +1,7 @@
 #include "core/mc_cover.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "boolf/minimize.hpp"
 #include "util/error.hpp"
@@ -155,6 +156,82 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
       break;
   }
   out.complexity = out.combinational ? out.complete_complexity : seq;
+  return out;
+}
+
+namespace {
+
+/// Bits 0, 2, 4, ... of `x`, packed into the low 32 bits.
+std::uint64_t even_bits(std::uint64_t x) {
+  x &= 0x5555555555555555u;
+  x = (x | x >> 1) & 0x3333333333333333u;
+  x = (x | x >> 2) & 0x0F0F0F0F0F0F0F0Fu;
+  x = (x | x >> 4) & 0x00FF00FF00FF00FFu;
+  x = (x | x >> 8) & 0x0000FFFF0000FFFFu;
+  return (x | x >> 16) & 0x00000000FFFFFFFFu;
+}
+
+/// Per-signal masks of one state: rise / fall enabled, and next value.
+struct StateMasks {
+  std::uint64_t rise, fall, next;
+};
+
+StateMasks state_masks(const StateGraph& sg, StateId s) {
+  const auto& ev = sg.enabled_mask(s);
+  const std::uint64_t rise =
+      even_bits(ev[0] >> 1) | even_bits(ev[1] >> 1) << 32;
+  const std::uint64_t fall = even_bits(ev[0]) | even_bits(ev[1]) << 32;
+  return {rise, fall, rise | (sg.code(s) & ~fall)};
+}
+
+/// popcount(vars), raised to 1 when both sides of the cover are non-empty.
+int separation_bound(std::uint64_t vars, bool both_sides) {
+  return std::max(std::popcount(vars), both_sides ? 1 : 0);
+}
+
+}  // namespace
+
+std::vector<ComplexityBound> complexity_lower_bounds(const StateGraph& sg) {
+  // cross[v] has bit a when some arc flipping v alone crosses signal a's
+  // split for that cover; transposed into per-signal variable sets below.
+  std::uint64_t cross_set[64] = {}, cross_reset[64] = {},
+                cross_complete[64] = {};
+  std::uint64_t any_rise = 0, any_fall = 0, any_next = 0, any_not_next = 0;
+  sg.reachable().for_each([&](std::size_t i) {
+    const auto s = static_cast<StateId>(i);
+    const StateMasks from = state_masks(sg, s);
+    any_rise |= from.rise;
+    any_fall |= from.fall;
+    any_next |= from.next;
+    any_not_next |= ~from.next;
+    for (const auto& edge : sg.succs(s)) {
+      const std::uint64_t flip = sg.code(s) ^ sg.code(edge.target);
+      if (!std::has_single_bit(flip)) continue;
+      const int v = std::countr_zero(flip);
+      const StateMasks to = state_masks(sg, edge.target);
+      cross_complete[v] |= from.next ^ to.next;
+      cross_set[v] |= (from.rise & ~to.next) | (to.rise & ~from.next);
+      cross_reset[v] |= (from.fall & to.next) | (to.fall & from.next);
+    }
+  });
+
+  const std::vector<int> sigs = sg.noninput_signals();
+  std::vector<ComplexityBound> out(sigs.size());
+  for (std::size_t k = 0; k < sigs.size(); ++k) {
+    const int a = sigs[k];
+    ComplexityBound& b = out[k];
+    for (int v = 0; v < sg.num_signals(); ++v) {
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      if ((cross_set[v] >> a) & 1u) b.set_vars |= bit;
+      if ((cross_reset[v] >> a) & 1u) b.reset_vars |= bit;
+      if ((cross_complete[v] >> a) & 1u) b.complete_vars |= bit;
+    }
+    const bool rises = (any_rise >> a) & 1u, falls = (any_fall >> a) & 1u;
+    const bool high = (any_next >> a) & 1u, low = (any_not_next >> a) & 1u;
+    b.set = separation_bound(b.set_vars, rises && low);
+    b.reset = separation_bound(b.reset_vars, falls && high);
+    b.complete = separation_bound(b.complete_vars, high && low);
+  }
   return out;
 }
 

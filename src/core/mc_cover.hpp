@@ -99,6 +99,31 @@ Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
 SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
                                   const McOptions& opts = {});
 
+/// Lower bounds on the complexities synthesize_signal reports for one
+/// signal, found without minimizing anything.  Each cover is bounded by its
+/// arc-separating variables: the v for which some reachable arc s->t that
+/// flips v alone joins a state of the cover's on-set to a state of (a
+/// subset of) its off-set.  The two codes differ in v alone, so, as in
+/// separating_literals_lower_bound, every such v costs a literal in the
+/// cover and in its complement.  A cover whose two sides are both
+/// non-empty is not constant and costs a literal anyway.  With
+/// NV = next_value, the sides are:
+///  - complete cover: on = NV, off = not NV (exactly);
+///  - set cover of a+: on = "a+ enabled", off >= not NV (QR(a+) holds only
+///    states where a = 1 is stable, and the monotonicity repair only grows
+///    the off-set);
+///  - reset cover: on = "a- enabled", off >= NV (the mirror image).
+struct ComplexityBound {
+  std::uint64_t set_vars = 0, reset_vars = 0, complete_vars = 0;
+  int set = 0;       ///< <= set.complexity
+  int reset = 0;     ///< <= reset.complexity
+  int complete = 0;  ///< <= complete_complexity
+};
+
+/// ComplexityBound of every non-input signal of `sg`, in noninput_signals()
+/// order, from one sweep over the reachable arcs.
+std::vector<ComplexityBound> complexity_lower_bounds(const StateGraph& sg);
+
 /// Synthesize every non-input signal into a standard-C netlist.
 /// `out_syntheses` (optional) receives the per-signal details.  `guard`
 /// (optional) is polled once per signal by every worker; exhaustion stops

@@ -516,7 +516,14 @@ void Flow::stage_map(StageReport& sr) {
   sr.metric("threads",
             resolve_worker_threads(opts_.mapper.threads,
                                    std::numeric_limits<std::size_t>::max()));
-  MapResult result = technology_map(*ctx_.sg, opts_.mapper, ctx_.guard.get());
+  // The synth stage's syntheses of this SG revision are the mapper's own
+  // starting point when they were made under the same options.
+  const bool reuse = ctx_.synth_sg == ctx_.sg &&
+                     opts_.mc.architecture == opts_.mapper.mc.architecture &&
+                     opts_.mc.minimize_passes ==
+                         opts_.mapper.mc.minimize_passes;
+  MapResult result = technology_map(*ctx_.sg, opts_.mapper, ctx_.guard.get(),
+                                    reuse ? &ctx_.syntheses : nullptr);
   sr.metric("candidates_planned",
             static_cast<double>(result.candidates_planned));
   sr.metric("resyntheses", static_cast<double>(result.resyntheses));

@@ -119,20 +119,23 @@ TEST(MapParallel, FusedEvaluationDeterministicUnderAnySchedule) {
   // A target's candidates run as one task each with no barrier between
   // them, so which candidate finishes first changes from run to run.  The
   // result must not: every thread count, and repeated runs at 4 threads,
-  // reproduce the serial fingerprint.  The serial work counters are pinned
-  // to the values of the earlier round-by-round loop (one candidate per
-  // round at 1 thread), proving the serial path runs the same thresholds
-  // in the same order.
+  // reproduce the serial fingerprint.  The serial work counters are pinned,
+  // proving the serial path runs the same thresholds in the same order.
+  // The abandonment bound counts every signal not yet synthesized by its
+  // arc-sweep lower bound, so no candidate synthesizes more signals than
+  // under the earlier bound, which counted those signals as zero
+  // (`partial_signals`).
   struct Workload {
     const char* name;
     StateGraph sg;
     long abandoned;
     long signals;
+    long partial_signals;
   };
   const Workload workloads[] = {
-      {"parallelizer(6)", bench::make_parallelizer(6).to_state_graph(), 5,
-       351},
-      {"combo(5,3)", bench::make_combo(5, 3).to_state_graph(), 19, 302},
+      {"parallelizer(6)", bench::make_parallelizer(6).to_state_graph(), 21,
+       207, 351},
+      {"combo(5,3)", bench::make_combo(5, 3).to_state_graph(), 26, 207, 302},
   };
   for (const Workload& w : workloads) {
     MapperOptions serial;
@@ -143,6 +146,7 @@ TEST(MapParallel, FusedEvaluationDeterministicUnderAnySchedule) {
     EXPECT_TRUE(ref.ok) << w.name;
     EXPECT_EQ(serial_result.candidates_abandoned, w.abandoned) << w.name;
     EXPECT_EQ(serial_result.signals_synthesized, w.signals) << w.name;
+    EXPECT_LE(serial_result.signals_synthesized, w.partial_signals) << w.name;
 
     for (const int threads : {2, 3, 4, 8, 4, 4, 4, 4}) {
       MapperOptions opts = serial;

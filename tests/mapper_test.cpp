@@ -5,11 +5,16 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <unordered_set>
 
 #include "benchlib/generators.hpp"
+#include "benchlib/random_stg.hpp"
+#include "benchlib/suite.hpp"
 #include "core/mapper.hpp"
+#include "flow/flow.hpp"
 #include "netlist/si_verify.hpp"
 #include "sg/properties.hpp"
+#include "sg/regions.hpp"
 #include "stg/stg.hpp"
 #include "util/error.hpp"
 
@@ -220,6 +225,159 @@ TEST(Mapper, AbandonmentBoundNeverStopsAWinner) {
         << "trial " << trial;
   }
   EXPECT_GT(early_stops, 0);
+}
+
+/// Variables v for which some code of `on` and some code of `off` differ in
+/// v alone (the separating set of separating_literals_lower_bound).
+std::uint64_t code_separating_vars(const StateGraph& sg, const DynBitset& on,
+                                   const DynBitset& off) {
+  std::unordered_set<std::uint64_t> off_codes;
+  off.for_each([&](std::size_t s) {
+    off_codes.insert(sg.code(static_cast<StateId>(s)));
+  });
+  std::uint64_t vars = 0;
+  on.for_each([&](std::size_t s) {
+    const std::uint64_t code = sg.code(static_cast<StateId>(s));
+    for (int v = 0; v < sg.num_signals(); ++v)
+      if (off_codes.count(code ^ (std::uint64_t{1} << v)))
+        vars |= std::uint64_t{1} << v;
+  });
+  return vars;
+}
+
+/// Every non-input signal of `sg`, under every architecture: the arc-sweep
+/// bound is componentwise <= the signal's synthesized cost, and each
+/// cover's arc-separating variables are separating variables of the codes
+/// the synthesis actually split.  Returns the bound's literals, summed.
+int expect_complexity_bounds_sound(const StateGraph& sg,
+                                   const std::string& where) {
+  const GateLibrary library{2};
+  const std::vector<int> sigs = sg.noninput_signals();
+  const std::vector<ComplexityBound> bounds = complexity_lower_bounds(sg);
+  EXPECT_EQ(bounds.size(), sigs.size()) << where;
+  const DynBitset reachable = sg.reachable();
+  int bound_literals = 0;
+  for (std::size_t k = 0; k < sigs.size() && k < bounds.size(); ++k) {
+    const int sig = sigs[k];
+    const ComplexityBound& b = bounds[k];
+    const std::string at = where + " signal " + sg.signal(sig).name;
+    for (const Architecture arch :
+         {Architecture::kAuto, Architecture::kStandardC,
+          Architecture::kComplexGate}) {
+      McOptions mc;
+      mc.architecture = arch;
+      const SignalSynthesis synth = synthesize_signal(sg, sig, mc);
+      MapMetrics actual;
+      actual.add(synth, library);
+      const MapMetrics lower = metrics_lower_bound(b, arch, library);
+      const std::string arch_at =
+          at + " architecture " + std::to_string(static_cast<int>(arch));
+      EXPECT_LE(lower.gates_over_library, actual.gates_over_library)
+          << arch_at;
+      EXPECT_LE(lower.max_complexity, actual.max_complexity) << arch_at;
+      EXPECT_LE(lower.total_literals, actual.total_literals) << arch_at;
+      if (arch != Architecture::kAuto) continue;
+      EXPECT_LE(b.set, synth.set.complexity) << at;
+      EXPECT_LE(b.reset, synth.reset.complexity) << at;
+      EXPECT_LE(b.complete, synth.complete_complexity) << at;
+      EXPECT_EQ(b.set_vars & ~code_separating_vars(sg, synth.set.on,
+                                                   synth.set.off),
+                0u)
+          << at;
+      EXPECT_EQ(b.reset_vars & ~code_separating_vars(sg, synth.reset.on,
+                                                     synth.reset.off),
+                0u)
+          << at;
+      DynBitset next_on = sg.empty_set();
+      reachable.for_each([&](std::size_t s) {
+        if (next_value(sg, static_cast<StateId>(s), sig)) next_on.set(s);
+      });
+      EXPECT_EQ(b.complete_vars &
+                    ~code_separating_vars(sg, next_on, reachable - next_on),
+                0u)
+          << at;
+      bound_literals += b.set + b.reset + b.complete;
+    }
+  }
+  return bound_literals;
+}
+
+TEST(Mapper, ArcSweepBoundIsSoundOnCorpus) {
+  int bound_literals = 0;
+  for (const auto& name : bench::suite_names()) {
+    // Synthesis needs CSC: run the flow front half, which resolves it.
+    FlowOptions front;
+    front.stop_after = Stage::kCsc;
+    Flow flow(front);
+    Spec spec;
+    spec.name = name;
+    spec.format = SpecFormat::kG;
+    spec.stg = bench::suite_benchmark(name).stg;
+    const FlowReport report = flow.run_spec(std::move(spec));
+    ASSERT_TRUE(report.ok) << name << ": " << report.failure;
+    bound_literals += expect_complexity_bounds_sound(*flow.context().sg, name);
+  }
+  EXPECT_GT(bound_literals, 0);
+}
+
+TEST(Mapper, ArcSweepBoundIsSoundOnRandomSgs) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const StateGraph sg = bench::make_random_stg(seed).to_state_graph();
+    ASSERT_TRUE(check_csc(sg)) << "seed " << seed;
+    expect_complexity_bounds_sound(sg, "random seed " + std::to_string(seed));
+  }
+}
+
+TEST(Mapper, ArcSweepBoundIsSoundOnMappedSgs) {
+  // The mapper's own candidate SGs: inserted signals, larger state counts.
+  const std::pair<const char*, StateGraph> workloads[] = {
+      {"parallelizer(6)", bench::make_parallelizer(6).to_state_graph()},
+      {"combo(5,3)", bench::make_combo(5, 3).to_state_graph()},
+  };
+  for (const auto& [name, sg] : workloads) {
+    const MapResult result = technology_map(sg, with_library(2));
+    ASSERT_TRUE(result.implementable) << name << ": " << result.failure;
+    ASSERT_GT(result.signals_inserted, 0) << name;
+    EXPECT_GT(expect_complexity_bounds_sound(*result.sg, name), 0) << name;
+  }
+}
+
+TEST(Mapper, HandedInSynthesesSkipTheInputSynthesis) {
+  // Syntheses of the input SG made under the mapper's options replace its
+  // own synthesize_all: the same mapping, with that work not counted.
+  const StateGraph sg = bench::make_parallelizer(4).to_state_graph();
+  const MapperOptions opts = with_library(2);
+  std::vector<SignalSynthesis> syntheses;
+  synthesize_all(sg, opts.mc, &syntheses);
+  long input_minimizations = 0;
+  for (const SignalSynthesis& s : syntheses)
+    input_minimizations += s.minimizations;
+
+  const MapResult fresh = technology_map(sg, opts);
+  const MapResult reused = technology_map(sg, opts, nullptr, &syntheses);
+  ASSERT_TRUE(reused.implementable) << reused.failure;
+  EXPECT_EQ(reused.build_netlist().to_string(),
+            fresh.build_netlist().to_string());
+  EXPECT_EQ(reused.steps.size(), fresh.steps.size());
+  EXPECT_EQ(reused.signals_synthesized + static_cast<long>(syntheses.size()),
+            fresh.signals_synthesized);
+  EXPECT_EQ(reused.minimizations + input_minimizations, fresh.minimizations);
+
+  // A list that does not name the SG's non-input signals is refused.
+  const std::vector<SignalSynthesis> none;
+  EXPECT_THROW(technology_map(sg, opts, nullptr, &none), Error);
+
+  // Pruning an unreachable state renumbers the SG, so the state-indexed
+  // covers cannot be reused: the mapper synthesizes again.
+  StateGraph padded = sg;
+  padded.add_state(sg.code(sg.initial()));
+  std::vector<SignalSynthesis> padded_syntheses;
+  synthesize_all(padded, opts.mc, &padded_syntheses);
+  const MapResult resynthesized =
+      technology_map(padded, opts, nullptr, &padded_syntheses);
+  EXPECT_EQ(resynthesized.signals_synthesized, fresh.signals_synthesized);
+  EXPECT_EQ(resynthesized.build_netlist().to_string(),
+            fresh.build_netlist().to_string());
 }
 
 }  // namespace
