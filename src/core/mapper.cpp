@@ -1,6 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -71,99 +72,316 @@ struct Candidate {
   ProgressEstimate estimate;
 };
 
-/// What one candidate's evaluation left behind.  Written only by the task
-/// evaluating it, read after the pass.
-struct Evaluated {
-  bool verified = false;
-  bool abandoned = false;
-  /// The candidate's SG and syntheses (signal-order slots), kept only when
-  /// it finished committable.
-  std::optional<StateGraph> sg;
-  std::vector<SignalSynthesis> syntheses;
-  MapMetrics metrics;  ///< a lower bound only when abandoned or stopped
-  std::size_t states = 0;
-  long signals = 0;    ///< signals synthesized
-  long minimizations = 0;  ///< their minimize_onoff calls
+/// What every round of one target's candidates shares: the current SG, its
+/// verifier and cost, and the committed syntheses (noninput_signals order).
+struct Round {
+  const StateGraph& sg;
+  const InsertionVerifier& verifier;
+  const std::vector<SignalSynthesis>& committed;
+  const MapMetrics& current;
+  const std::string& name;
+  const MapperOptions& opts;
+  const RunGuard* guard;
 };
 
-/// The record the evaluation tasks of one target share, under one mutex:
-/// each candidate's verify status, and the cost of those that finished
-/// committable.  Indices are candidate ranks, across every round.
-class EvalRecord {
+/// One round of one target's ranked candidates, resynthesized best-first
+/// (the rules are in technology_map's full-evaluation block).  Its workers
+/// (run) share it under one mutex and wait on one condition variable; a
+/// unit of work is one candidate's insert and verify, or one signal of an
+/// evaluated candidate ("member").  At most `speculative` signals whose
+/// synthesis the serial order has not been shown to need are outstanding
+/// at once, so the round synthesizes at most that many more signals than
+/// the serial order.
+class Frontier {
  public:
-  enum class Verdict { kGo, kStop, kAbandon };
+  Frontier(const Round& round, const std::vector<Candidate>& candidates,
+           std::size_t begin, std::size_t end, std::size_t members,
+           std::size_t cap, std::size_t speculative)
+      : round_(round),
+        candidates_(candidates),
+        begin_(begin),
+        cap_(cap),
+        speculative_(speculative),
+        first_member_(members),
+        members_(members),
+        next_(begin),
+        settled_(begin),
+        entries_(end - begin) {}
 
-  EvalRecord(std::size_t candidates, std::size_t cap)
-      : cap_(cap), slots_(candidates) {}
-
-  /// Does candidate i still belong to the evaluated set?  Once the verified
-  /// candidates before it fill the cap it never will, and after a failed
-  /// task none of the work matters.
-  Verdict claim(std::size_t i) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return failed_ || verified_before(i) >= cap_ ? Verdict::kStop
-                                                 : Verdict::kGo;
-  }
-
-  /// Should candidate i, whose partial cost is `partial` over an SG of
-  /// `states` states, synthesize its next signal?  It is abandoned once it
-  /// cannot beat a finished committable candidate of lower rank; a tie
-  /// loses when its states are no fewer, as in the final selection.
-  Verdict judge(std::size_t i, const MapMetrics& partial, std::size_t states) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (failed_ || verified_before(i) >= cap_) return Verdict::kStop;
-    for (std::size_t j = 0; j < i; ++j) {
-      const Slot& s = slots_[j];
-      if (s.status == Status::kCommittable &&
-          cannot_improve(partial, s.metrics, states >= s.states))
-        return Verdict::kAbandon;
+  /// One worker: take the next verification, else the next signal, else
+  /// wait, until the round has a winner, has none left, or a worker failed.
+  void run() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    try {
+      while (!failed_ && !over_) {
+        if (claimable()) {
+          verify(next_++, lock);
+          continue;
+        }
+        std::vector<std::size_t> live;
+        for (std::size_t i = begin_; i < settled_; ++i)
+          if (entry(i).phase == Phase::kLive) live.push_back(i);
+        std::sort(live.begin(), live.end(),
+                  [&](std::size_t a, std::size_t b) { return ahead(a, b); });
+        // The next signal of the smallest key that may take one.  A member
+        // has at most one more signal in flight than it has finished: one
+        // at first, since its costliest signal is the likeliest to prove
+        // it a loser, so the other workers move on to the next key instead
+        // of piling onto a member that may be about to stop.  The serial
+        // order needs the signal when the round is settled and its member
+        // is the smallest key with nothing in flight; any other is
+        // speculative and waits for room.
+        std::optional<std::size_t> pick;
+        bool needed = false;
+        for (const std::size_t i : live) {
+          const Entry& e = entry(i);
+          if (finished(e)) break;
+          if (e.claimed < e.order.size() && e.claimed <= 2 * e.synthesized) {
+            needed = settled() && i == live.front() &&
+                     e.claimed == e.synthesized;
+            if (needed || speculated_.size() < speculative_) pick = i;
+            break;
+          }
+        }
+        if (pick) {
+          if (!needed) speculated_.emplace_back(*pick, entry(*pick).claimed);
+          synthesize(*pick, lock);
+          continue;
+        }
+        // The smallest key is a finished member's (or there is no member
+        // left): it wins once no verification can still add a smaller one.
+        if ((live.empty() || finished(entry(live.front()))) &&
+            settled_ == next_) {
+          if (!live.empty()) winner_ = live.front();
+          over_ = true;
+          cv_.notify_all();
+          return;
+        }
+        cv_.wait(lock);
+      }
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      failed_ = true;
+      cv_.notify_all();
+      throw;
     }
-    return Verdict::kGo;
   }
 
-  void verified(std::size_t i, bool ok) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    slots_[i].status = ok ? Status::kVerified : Status::kRejected;
+  /// Evaluated candidates so far, across rounds (after the workers join).
+  std::size_t members() const { return members_; }
+  std::optional<std::size_t> winner() const { return winner_; }
+  long signals() const { return signals_; }
+  long minimizations() const { return minimizations_; }
+  /// Members stopped with signals left unsynthesized.
+  long abandoned() const {
+    long n = 0;
+    for (std::size_t i = begin_; i < settled_; ++i) {
+      const Entry& e = entry(i);
+      n += (e.phase == Phase::kLive || e.phase == Phase::kAbandoned) &&
+           !finished(e);
+    }
+    return n;
   }
-
-  void committable(std::size_t i, const MapMetrics& metrics,
-                   std::size_t states) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    slots_[i] = Slot{Status::kCommittable, metrics, states};
+  /// The winner's SG, syntheses (signal order), cost and states.
+  StateGraph take_sg() { return std::move(*entry(*winner_).sg); }
+  std::vector<SignalSynthesis> take_syntheses() {
+    return std::move(entry(*winner_).syntheses);
   }
-
-  void fail() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    failed_ = true;
-  }
+  const MapMetrics& metrics() const { return entry(*winner_).metrics; }
+  std::size_t states() const { return entry(*winner_).states; }
 
  private:
-  enum class Status : unsigned char {
-    kPending,
-    kRejected,
-    kVerified,
-    kCommittable,
+  enum class Phase : unsigned char {
+    kPending,    ///< unclaimed, or being inserted and verified
+    kVerified,   ///< verified, evaluated-set membership still open
+    kRejected,   ///< failed verification, or verified past the cap
+    kLive,       ///< evaluated, may still win
+    kAbandoned,  ///< evaluated, its key cannot beat the current cost
   };
-  struct Slot {
-    Status status = Status::kPending;
-    MapMetrics metrics;
+  struct Entry {
+    Phase phase = Phase::kPending;
+    std::optional<StateGraph> sg;
+    std::vector<int> sigs;
+    std::vector<std::size_t> order;  ///< synthesis order (signal slots)
+    std::vector<MapMetrics> bounds;  ///< per slot
+    std::vector<SignalSynthesis> syntheses;  ///< per slot
+    std::vector<char> done;                  ///< per slot
+    std::vector<MapMetrics> exact;  ///< per slot, once synthesized
+    std::size_t claimed = 0;  ///< order[0, claimed) handed to workers
+    std::size_t synthesized = 0;
+    MapMetrics metrics;  ///< of the synthesized slots
+    MapMetrics bound;    ///< metrics plus the bounds of the other slots
     std::size_t states = 0;
   };
 
-  /// Verified candidates ranked before i (a lower bound while some of them
-  /// are still pending, exact once they are not).
-  std::size_t verified_before(std::size_t i) const {
-    std::size_t n = 0;
-    for (std::size_t j = 0; j < i; ++j)
-      n += slots_[j].status == Status::kVerified ||
-           slots_[j].status == Status::kCommittable;
-    return n;
+  static bool finished(const Entry& e) {
+    return e.synthesized == e.order.size();
+  }
+  Entry& entry(std::size_t i) { return entries_[i - begin_]; }
+  const Entry& entry(std::size_t i) const { return entries_[i - begin_]; }
+  /// Does member a come before member b in key order?
+  bool ahead(std::size_t a, std::size_t b) const {
+    return std::make_tuple(entry(a).bound.tuple(), entry(a).states, a) <
+           std::make_tuple(entry(b).bound.tuple(), entry(b).states, b);
+  }
+  /// Is the evaluated set final?
+  bool settled() const { return !claimable() && settled_ == next_; }
+  /// Drop every speculative signal now shown to be one the serial order
+  /// synthesizes: its member's key with exactly the signals before it in
+  /// its order synthesized cannot be abandoned, and is no larger than the
+  /// smallest live key, a lower bound on the winner's exact key.
+  void confirm() {
+    if (speculated_.empty() || !settled()) return;
+    std::optional<std::size_t> front;
+    for (std::size_t i = begin_; i < settled_; ++i)
+      if (entry(i).phase == Phase::kLive && (!front || ahead(i, *front)))
+        front = i;
+    std::erase_if(speculated_, [&](const std::pair<std::size_t,
+                                                   std::size_t>& claim) {
+      const auto [i, pos] = claim;
+      const Entry& e = entry(i);
+      MapMetrics key;
+      for (std::size_t k = 0; k < e.order.size(); ++k) {
+        const std::size_t slot = e.order[k];
+        if (k >= pos) {
+          key.add(e.bounds[slot]);
+        } else if (e.done[slot]) {
+          key.add(e.exact[slot]);
+        } else {
+          return false;
+        }
+      }
+      if (cannot_improve(key, round_.current, true)) return false;
+      if (!front) return true;  // no member can win: only the cost counts
+      const Entry& f = entry(*front);
+      return std::make_tuple(key.tuple(), e.states, i) <=
+             std::make_tuple(f.bound.tuple(), f.states, *front);
+    });
+  }
+  /// May candidate next_ still join the evaluated set?
+  bool claimable() const {
+    return next_ < begin_ + entries_.size() && first_member_ + verified_ < cap_;
   }
 
-  const std::size_t cap_;
-  std::mutex mutex_;  // guards slots_ and failed_
-  std::vector<Slot> slots_;
-  bool failed_ = false;
+  /// Claim, insert and verify candidate i; on success give it its bounds
+  /// and synthesis order.  Only this worker touches the entry until its
+  /// phase leaves kPending.
+  void verify(std::size_t i, std::unique_lock<std::mutex>& lock) {
+    Entry& e = entry(i);
+    lock.unlock();
+    guard_charge(round_.guard, 1, "map.candidates");
+    const InsertionPlan& plan = candidates_[i].plan;
+    StateGraph next = insert_signal(round_.sg, plan, round_.name);
+    const DynBitset disturbed = disturbed_signals(round_.sg, plan);
+    const bool ok = static_cast<bool>(
+        round_.verifier.verify(next, /*require_csc=*/true, &disturbed));
+    if (ok) {
+      const MapperOptions& opts = round_.opts;
+      const std::vector<ComplexityBound> bounds =
+          complexity_lower_bounds(next);
+      e.sigs = next.noninput_signals();
+      e.states = next.num_states();
+      // Costliest first by the pre-insertion cost: the committed synthesis
+      // of each old signal (the first slots, in the same order), the bound
+      // of the new one.  The signals' syntheses are independent, so any
+      // order is exact; this one raises a loser's key soonest.
+      std::vector<MapMetrics> cost(e.sigs.size());
+      for (std::size_t slot = 0; slot < e.sigs.size(); ++slot) {
+        e.bounds.push_back(metrics_lower_bound(
+            bounds[slot], opts.mc.architecture, opts.library));
+        e.bound.add(e.bounds[slot]);
+        if (slot < round_.committed.size())
+          cost[slot].add(round_.committed[slot], opts.library);
+        else
+          cost[slot] = e.bounds[slot];
+      }
+      e.order.resize(e.sigs.size());
+      std::iota(e.order.begin(), e.order.end(), std::size_t{0});
+      std::stable_sort(e.order.begin(), e.order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return cost[b] < cost[a];
+                       });
+      e.syntheses.resize(e.sigs.size());
+      e.done.assign(e.sigs.size(), 0);
+      e.exact.resize(e.sigs.size());
+      e.sg = std::move(next);
+    }
+    lock.lock();
+    e.phase = ok ? Phase::kVerified : Phase::kRejected;
+    verified_ += ok;
+    // Settle the rank-order prefix whose verifications are all back.
+    for (; settled_ < next_ && entry(settled_).phase != Phase::kPending;
+         ++settled_) {
+      Entry& s = entry(settled_);
+      if (s.phase != Phase::kVerified) continue;
+      if (members_ >= cap_) {
+        s.phase = Phase::kRejected;
+      } else {
+        ++members_;
+        s.phase = cannot_improve(s.bound, round_.current, true)
+                      ? Phase::kAbandoned
+                      : Phase::kLive;
+      }
+      release(s);
+    }
+    confirm();
+    cv_.notify_all();
+  }
+
+  /// Drop the SG and syntheses of a candidate that can no longer win, once
+  /// no worker is synthesizing one of its signals.
+  static void release(Entry& e) {
+    if (e.phase == Phase::kLive || e.claimed > e.synthesized) return;
+    e.sg.reset();
+    e.syntheses = {};
+  }
+
+  /// Synthesize the next signal of live member i in its order.  Other
+  /// workers may synthesize other signals of i meanwhile.
+  void synthesize(std::size_t i, std::unique_lock<std::mutex>& lock) {
+    Entry& e = entry(i);
+    const std::size_t slot = e.order[e.claimed++];
+    lock.unlock();
+    fault::hit("synth.signal");
+    guard_charge(round_.guard, 1, "synth.signal");
+    SignalSynthesis s =
+        synthesize_signal(*e.sg, e.sigs[slot], round_.opts.mc);
+    lock.lock();
+    ++signals_;
+    minimizations_ += s.minimizations;
+    e.exact[slot].add(s, round_.opts.library);
+    e.metrics.add(e.exact[slot]);
+    e.syntheses[slot] = std::move(s);
+    e.done[slot] = 1;
+    ++e.synthesized;
+    if (e.phase == Phase::kLive) {
+      e.bound = e.metrics;
+      for (std::size_t k = 0; k < e.done.size(); ++k)
+        if (!e.done[k]) e.bound.add(e.bounds[k]);
+      if (cannot_improve(e.bound, round_.current, true))
+        e.phase = Phase::kAbandoned;
+    }
+    release(e);
+    confirm();
+    cv_.notify_all();
+  }
+
+  const Round& round_;
+  const std::vector<Candidate>& candidates_;
+  const std::size_t begin_, cap_, speculative_;
+  const std::size_t first_member_;  ///< evaluated in earlier rounds
+  std::mutex mutex_;  // guards everything below
+  std::condition_variable cv_;
+  std::size_t members_;   ///< evaluated candidates, earlier rounds included
+  std::size_t verified_ = 0;  ///< verified candidates in [begin_, next_)
+  std::size_t next_;      ///< next candidate to claim
+  std::size_t settled_;   ///< candidates before it have known membership
+  std::vector<Entry> entries_;
+  std::optional<std::size_t> winner_;
+  bool over_ = false, failed_ = false;
+  long signals_ = 0, minimizations_ = 0;
+  /// Speculative signals not yet confirmed: (member, position in order).
+  std::vector<std::pair<std::size_t, std::size_t>> speculated_;
 };
 
 }  // namespace
@@ -257,6 +475,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
     // committed candidate's syntheses.
     synthesize_all(*result.sg, opts.mc, &result.syntheses, guard);
     result.signals_synthesized = static_cast<long>(result.syntheses.size());
+    result.signals_useful = result.signals_synthesized;
     for (const SignalSynthesis& s : result.syntheses)
       result.minimizations += s.minimizations;
   }
@@ -353,140 +572,71 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
 
       // ---- full evaluation (resynthesis from scratch) ------------------
       // Every candidate evaluation reads only the shared (const) SG and its
-      // own plan, so each candidate is one task — insert, verify, then
-      // resynthesize one signal at a time, the target signal first — and a
-      // round's tasks run in one parallel_for (MapperOptions::threads) with
-      // no barrier in between.  A round is the whole ranked list, or 8
-      // candidates with prune_pre_checks; the width never depends on the
-      // thread count.  The tasks meet only in the EvalRecord, read once
-      // per synthesized signal:
-      //  - a candidate stops (or never starts) once the verified
-      //    candidates ranked before it fill max_full_evals;
-      //  - it is abandoned once a lower bound on its cost cannot beat
-      //    current_metrics, or a finished, committable candidate of lower
-      //    rank.  The bound (see MapMetrics::add) counts the signals
-      //    synthesized so far exactly, and every other signal by
+      // own plan.  A round (the whole ranked list, or 8 candidates with
+      // prune_pre_checks; the width never depends on the thread count) is
+      // one Frontier, worked by one parallel_for of MapperOptions::threads
+      // workers, at most one per candidate of the round, whose unit of work
+      // is one verification or one signal:
+      //  - the evaluated set is the first max_full_evals candidates in rank
+      //    order that verify, and no signal of a candidate is synthesized
+      //    before its membership is known;
+      //  - each step synthesizes one signal of the member with the smallest
+      //    key: its synthesized signals exactly plus every other signal by
       //    metrics_lower_bound of the complexity_lower_bounds that one
-      //    sweep over the candidate SG's arcs gives, so a candidate that
-      //    cannot win can stop before its first synthesis.
-      // After the pass a serial walk in rank order takes the first `cap`
-      // verified candidates as the evaluated set, and the winner is the
-      // best committable (metrics, states) key among them, the earliest on
-      // ties.  A lower-ranked candidate that beats candidate k is in the
-      // evaluated set whenever k is, so no abandoned candidate could have
-      // won, and the evaluated set and the winner are bit-identical at
-      // every thread count.  At 1 thread the candidates run in rank order,
-      // each one seeing every lower-ranked candidate finished.  The
-      // guard is charged one `map.candidates` unit per candidate claimed, so
-      // a candidate skipped past the cap costs nothing.  With
-      // prune_pre_checks the loop stops at the first round boundary where
-      // a committable winner exists: the pruned candidates carry estimates
-      // no better than what already won, and never pay for
-      // insert_signal/verify_insertion.
+      //    sweep over its SG's arcs gives (see MapMetrics::add), then
+      //    states, then rank.  A member's signals go costliest first by the
+      //    pre-insertion cost, so a loser's key rises past the winner's
+      //    after few syntheses;
+      //  - a member whose key cannot beat current_metrics is abandoned;
+      //  - the first member finished with the smallest key, once every
+      //    candidate of the round is settled, wins and every other member
+      //    stops.  Its exact key is no larger than any other member's
+      //    bound, so it is the best committable (metrics, states) key of
+      //    the evaluated set, the earliest on ties, at every thread count.
+      // At more than one thread, verifications go first; several workers
+      // may synthesize signals of one member at once, at most one more than
+      // it has finished, and a worker finding no signal it may take on the
+      // smallest key moves on to the next one, or waits.  A member whose
+      // signals are in flight keeps its bound as its key, so no finished
+      // member wins past it.  A signal the serial order is not yet shown
+      // to need (the round unsettled, or its member not the smallest key
+      // with nothing in flight) is speculative; at most 3 per worker past
+      // the first are outstanding until confirmed, so a round synthesizes
+      // at most that many signals more than at 1 thread.
+      // The guard is charged one `map.candidates` unit per candidate
+      // claimed, so a candidate skipped past the cap costs nothing.  With
+      // prune_pre_checks a round with a winner ends the target: the pruned
+      // candidates carry estimates no better than what already won, and
+      // never pay for insert_signal/verify_insertion.
       const std::string name = fresh_name(sg, name_counter);
       const std::size_t cap =
           opts.max_full_evals > 0
               ? static_cast<std::size_t>(opts.max_full_evals)
               : 0;
-      const int target_signal = target.synth->signal;
-      std::vector<Evaluated> evaluated(candidates.size());
-      EvalRecord record(candidates.size(), cap);
-      auto evaluate = [&](std::size_t i) {
-        using Verdict = EvalRecord::Verdict;
-        if (record.claim(i) == Verdict::kStop) return;
-        Evaluated& ev = evaluated[i];
-        try {
-          guard_charge(guard, 1, "map.candidates");
-          const InsertionPlan& plan = candidates[i].plan;
-          StateGraph next = insert_signal(sg, plan, name);
-          const DynBitset disturbed = disturbed_signals(sg, plan);
-          ev.verified = static_cast<bool>(
-              verifier.verify(next, /*require_csc=*/true, &disturbed));
-          record.verified(i, ev.verified);
-          if (!ev.verified) return;
-          ev.states = next.num_states();
-          const std::vector<int> sigs = next.noninput_signals();
-          std::vector<std::size_t> order(sigs.size());
-          std::iota(order.begin(), order.end(), std::size_t{0});
-          std::stable_partition(
-              order.begin(), order.end(),
-              [&](std::size_t slot) { return sigs[slot] == target_signal; });
-          // unsynthesized[k]: lower bound on the cost of the signals in
-          // order[k..], from one sweep over next's arcs.
-          const std::vector<ComplexityBound> bounds =
-              complexity_lower_bounds(next);
-          std::vector<MapMetrics> unsynthesized(order.size() + 1);
-          for (std::size_t k = order.size(); k-- > 0;) {
-            unsynthesized[k] = unsynthesized[k + 1];
-            unsynthesized[k].add(metrics_lower_bound(
-                bounds[order[k]], opts.mc.architecture, opts.library));
-          }
-          ev.syntheses.resize(sigs.size());
-          for (std::size_t k = 0; k < order.size(); ++k) {
-            const std::size_t slot = order[k];
-            MapMetrics bound = ev.metrics;
-            bound.add(unsynthesized[k]);
-            const Verdict verdict =
-                cannot_improve(bound, current_metrics, true)
-                    ? Verdict::kAbandon
-                    : record.judge(i, bound, ev.states);
-            if (verdict != Verdict::kGo) {
-              ev.abandoned = verdict == Verdict::kAbandon;
-              ev.syntheses.clear();
-              return;
-            }
-            fault::hit("synth.signal");
-            guard_charge(guard, 1, "synth.signal");
-            ev.syntheses[slot] = synthesize_signal(next, sigs[slot], opts.mc);
-            ev.metrics.add(ev.syntheses[slot], opts.library);
-            ++ev.signals;
-            ev.minimizations += ev.syntheses[slot].minimizations;
-          }
-          // Progress requirement: the global cost tuple strictly decreases.
-          // This is the termination measure of the whole loop — temporary
-          // growth of one cover (the acknowledgement literal of Property
-          // 3.2) is fine as long as fewer gates exceed the library.
-          if (!(ev.metrics < current_metrics)) {
-            ev.syntheses.clear();
-            return;
-          }
-          ev.sg = std::move(next);
-          record.committable(i, ev.metrics, ev.states);
-        } catch (...) {
-          record.fail();
-          throw;
-        }
-      };
-
-      std::size_t num_evaluated = 0;
-      std::optional<std::size_t> best_idx;  // committable running best
-      auto key = [](const Evaluated& e) {
-        return std::make_tuple(e.metrics.tuple(), e.states);
-      };
-      for (std::size_t pos = 0;
-           pos < candidates.size() && num_evaluated < cap;) {
-        if (opts.prune_pre_checks && best_idx) break;
+      const Round round{sg,   verifier, result.syntheses, current_metrics,
+                        name, opts, guard};
+      std::size_t members = 0;
+      std::optional<Frontier> best;  // the last round's
+      for (std::size_t pos = 0; pos < candidates.size() && members < cap;) {
         const std::size_t end =
             opts.prune_pre_checks ? std::min(candidates.size(), pos + 8)
                                   : candidates.size();
-        parallel_for(end - pos, opts.threads,
-                     [&](std::size_t k) { evaluate(pos + k); });
-        for (std::size_t i = pos; i < end; ++i) {
-          const Evaluated& ev = evaluated[i];
-          result.signals_synthesized += ev.signals;
-          result.minimizations += ev.minimizations;
-          if (!ev.verified || num_evaluated >= cap) continue;
-          ++num_evaluated;
-          if (ev.abandoned) ++result.candidates_abandoned;
-          if (!ev.sg) continue;
-          if (!best_idx || key(ev) < key(evaluated[*best_idx])) best_idx = i;
-        }
+        const int workers = resolve_worker_threads(opts.threads, end - pos);
+        Frontier& frontier =
+            best.emplace(round, candidates, pos, end, members, cap,
+                         3 * static_cast<std::size_t>(workers - 1));
+        parallel_for(static_cast<std::size_t>(workers), workers,
+                     [&](std::size_t) { frontier.run(); });
+        result.signals_synthesized += frontier.signals();
+        result.minimizations += frontier.minimizations();
+        result.resyntheses += static_cast<long>(frontier.members() - members);
+        result.candidates_abandoned += frontier.abandoned();
+        members = frontier.members();
+        if (frontier.winner()) break;
         pos = end;
       }
-      result.resyntheses += static_cast<long>(num_evaluated);
-      if (best_idx) {
-        Evaluated& best = evaluated[*best_idx];
-        const InsertionPlan& plan = candidates[*best_idx].plan;
+      if (best && best->winner()) {
+        const InsertionPlan& plan = candidates[*best->winner()].plan;
         MapStep step;
         step.new_signal = name;
         step.divisor = plan.f;
@@ -495,13 +645,14 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         step.target_signal = target.synth->signal;
         step.target_event = target.cover->event;
         step.states_before = sg.num_states();
-        step.states_after = best.states;
+        step.states_after = best->states();
         step.before = current_metrics;
-        step.after = best.metrics;
+        step.after = best->metrics();
         result.steps.push_back(std::move(step));
 
-        result.syntheses = std::move(best.syntheses);
-        result.sg = std::make_shared<StateGraph>(std::move(*best.sg));
+        result.syntheses = best->take_syntheses();
+        result.signals_useful += static_cast<long>(result.syntheses.size());
+        result.sg = std::make_shared<StateGraph>(best->take_sg());
         ++result.signals_inserted;
         ++name_counter;
         committed = true;

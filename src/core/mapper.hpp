@@ -13,11 +13,14 @@
 //
 // Only the input SG is synthesized with synthesize_all (or not at all, when
 // the caller hands its syntheses in): the committed candidate's syntheses are
-// those of the next SG.  A candidate is resynthesized one signal at a time,
-// and abandoned as soon as a lower bound on its cost proves it cannot be
-// committed (see cannot_improve): the signals synthesized so far count
-// exactly, every other signal by the arc-sweep bound of
-// complexity_lower_bounds.
+// those of the next SG.  A target's verified candidates are resynthesized
+// best-first, one signal at a time: each step advances the candidate with
+// the smallest lower bound on its cost (see cannot_improve), which counts
+// the signals synthesized so far exactly and every other signal by the
+// arc-sweep bound of complexity_lower_bounds, and takes its costliest
+// signal first.  The first candidate finished with the smallest bound is the
+// winner; every other candidate stops there, and one whose bound cannot beat
+// the current cost stops as soon as that is known.
 //
 // The paper's tuning knobs (try other events when the worst one is stuck,
 // cap the number of candidates, local-vs-global acknowledgement for the
@@ -55,13 +58,16 @@ struct MapperOptions {
   int max_target_events = 4;
   /// How many filtered candidates are fully resynthesized per target.
   int max_full_evals = 12;
-  /// Worker threads for the candidate evaluation.  Each candidate is one
-  /// task — insert, verify, resynthesize one signal at a time — over the
-  /// read-only current SG, and a round's tasks run in one parallel pass with
-  /// no barrier in between.  The evaluated set and the winner are chosen in
-  /// candidate order after the pass, so the mapped SG, netlist, steps and
-  /// search counters are bit-identical at every thread count.  1 = serial,
-  /// 0 = one thread per hardware core.
+  /// Worker threads for the candidate evaluation.  A round's workers share
+  /// one best-first frontier over the read-only current SG and take one
+  /// unit of work at a time from it: a candidate's insert and verify, or
+  /// one signal of a candidate already known to be in the evaluated set.
+  /// Several workers may synthesize signals of one candidate at once.  The
+  /// evaluated set and the winner do not depend on which unit finishes
+  /// first, so the mapped SG, netlist, steps and search counters are
+  /// bit-identical at every thread count.  1 = serial, 0 = one thread per
+  /// hardware core; a round never starts more workers than it has
+  /// candidates, whatever the count asked for.
   int threads = 1;
   /// Prune the insert/verify pre-check: candidates are evaluated in rounds
   /// of 8 (thread-count independent) instead of one round over the whole
@@ -142,17 +148,20 @@ struct MapResult {
   /// 3.1/3.2 ranking is meant to save).
   long candidates_planned = 0;
   long resyntheses = 0;
-  /// Work counters: evaluated candidates abandoned before their last
-  /// signal, single-signal syntheses run (the input SG's included unless
-  /// they were handed in), and the
-  /// minimize_onoff calls those syntheses made (abandoned candidates
-  /// included; see SignalSynthesis::minimizations).  Exact at 1 thread; at
-  /// more threads they may vary from run to run, since a candidate is
-  /// abandoned against whichever lower-ranked candidates have
-  /// finished by then, and a candidate past max_full_evals may be partly
-  /// synthesized before that is known.
+  /// Work counters: evaluated candidates stopped before their last signal
+  /// (proven unable to win, or outrun by the winner), single-signal
+  /// syntheses run (the input SG's included unless they were handed in),
+  /// those of them whose candidate was committed (`signals_useful`, the
+  /// input SG's included likewise), and the minimize_onoff calls the
+  /// syntheses made (see SignalSynthesis::minimizations).  Exact at 1
+  /// thread; at more threads all but signals_useful may vary from run to
+  /// run, since workers advance members whose keys are not yet the
+  /// smallest while the best member's last signals are in flight, but
+  /// each target's round synthesizes at most 3 * (threads - 1) signals
+  /// more than at 1 thread.
   long candidates_abandoned = 0;
   long signals_synthesized = 0;
+  long signals_useful = 0;
   long minimizations = 0;
   /// Final SG (with the inserted signals) and its synthesis, made with the
   /// mapper's McOptions::architecture and minimize_passes.

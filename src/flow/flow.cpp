@@ -531,6 +531,7 @@ void Flow::stage_map(StageReport& sr) {
             static_cast<double>(result.candidates_abandoned));
   sr.metric("signals_synthesized",
             static_cast<double>(result.signals_synthesized));
+  sr.metric("signals_useful", static_cast<double>(result.signals_useful));
   sr.metric("minimizations", static_cast<double>(result.minimizations));
   if (!result.implementable)
     throw Error("not implementable with " +

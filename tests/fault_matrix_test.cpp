@@ -205,9 +205,9 @@ TEST_F(FaultTest, MapperPerSignalResynthesisPolls) {
 }
 
 TEST_F(FaultTest, ParallelMapperFailsTypedWhileWorkersAreMidCandidate) {
-  // At 4 map threads a target's candidates are evaluated as concurrent
-  // tasks.  A failure inside one task must stop the others and surface as
-  // one typed map-stage failure: the run returns, without hanging on a
+  // At 4 map threads a target's candidates are evaluated by concurrent
+  // workers.  A failure inside one worker must stop the others and surface
+  // as one typed map-stage failure: the run returns, without hanging on a
   // worker and without std::terminate from a second in-flight throw.
   const StateGraph input = bench::make_parallelizer(5).to_state_graph();
   FlowOptions opts;
@@ -259,6 +259,64 @@ TEST_F(FaultTest, ParallelMapperFailsTypedWhileWorkersAreMidCandidate) {
   EXPECT_EQ(report.failure_kind, FailureKind::kBudget);
   EXPECT_NE(report.failure.find("map.candidates"), std::string::npos)
       << report.failure;
+}
+
+TEST_F(FaultTest, MapperFrontierFailsTypedWhileWorkersWait) {
+  // At 4 map threads a round's workers share one best-first frontier and
+  // wait on it whenever nothing is left to take.  With max_full_evals = 2 a
+  // round has two members, each taking one signal at a time until its
+  // first synthesis is back, so two of the workers wait while those are in
+  // flight.  A fault there, or a work budget running out mid-map, must wake
+  // them and fail the map stage typed instead of leaving them waiting.
+  const StateGraph input = bench::make_parallelizer(5).to_state_graph();
+  FlowOptions opts;
+  opts.mapper.threads = 4;
+  opts.mapper.max_full_evals = 2;
+
+  fault::arm("synth.signal", fault::Action::kBudget,
+             std::numeric_limits<std::uint64_t>::max());
+  FlowOptions counted = opts;
+  counted.stop_after = Stage::kMap;
+  counted.guard = std::make_shared<RunGuard>();
+  Flow counting(counted);
+  const FlowReport clean = counting.run_state_graph(input, "par5");
+  ASSERT_TRUE(clean.ok) << clean.failure;
+  const auto synth_signals = clean.stage(Stage::kSynth).metric_value("signals");
+  const auto map_signals =
+      clean.stage(Stage::kMap).metric_value("signals_synthesized");
+  ASSERT_TRUE(synth_signals && map_signals);
+  const auto synth_hits = static_cast<std::uint64_t>(*synth_signals);
+  const auto candidate_hits = static_cast<std::uint64_t>(*map_signals);
+  ASSERT_GT(candidate_hits, 8u);
+  for (const std::uint64_t nth :
+       {synth_hits + 1, synth_hits + candidate_hits / 2}) {
+    fault::clear();
+    fault::arm("synth.signal", fault::Action::kError, nth);
+    Flow flow(opts);
+    const FlowReport report = flow.run_state_graph(input, "par5");
+    ASSERT_FALSE(report.ok) << nth;
+    EXPECT_TRUE(fault::fired("synth.signal")) << nth;
+    EXPECT_EQ(report.failed_stage, Stage::kMap) << nth;
+    EXPECT_EQ(report.failure_kind, FailureKind::kSpec) << nth;
+  }
+  fault::clear();
+
+  // A work budget that runs out halfway through the map stage's charges
+  // (candidate claims and signals).
+  FlowOptions front = opts;
+  front.stop_after = Stage::kDecomp;
+  front.guard = std::make_shared<RunGuard>();
+  Flow measuring(front);
+  ASSERT_TRUE(measuring.run_state_graph(input, "par5").ok);
+  const std::uint64_t map_work = counted.guard->work() - front.guard->work();
+  ASSERT_GT(map_work, 8u);
+  FlowOptions budgeted = opts;
+  budgeted.work_budget = front.guard->work() + map_work / 2;
+  Flow flow(budgeted);
+  const FlowReport report = flow.run_state_graph(input, "par5");
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.failed_stage, Stage::kMap);
+  EXPECT_EQ(report.failure_kind, FailureKind::kBudget);
 }
 
 TEST_F(FaultTest, CscExhaustionUnderFailPolicyIsTyped) {

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "benchlib/generators.hpp"
 #include "benchlib/suite.hpp"
 #include "core/mapper.hpp"
@@ -116,26 +118,34 @@ TEST(MapParallel, GeneratorFamiliesBitIdentical) {
 }
 
 TEST(MapParallel, FusedEvaluationDeterministicUnderAnySchedule) {
-  // A target's candidates run as one task each with no barrier between
-  // them, so which candidate finishes first changes from run to run.  The
-  // result must not: every thread count, and repeated runs at 4 threads,
-  // reproduce the serial fingerprint.  The serial work counters are pinned,
-  // proving the serial path runs the same thresholds in the same order.
-  // The abandonment bound counts every signal not yet synthesized by its
-  // arc-sweep lower bound, so no candidate synthesizes more signals than
-  // under the earlier bound, which counted those signals as zero
-  // (`partial_signals`).
+  // A round's workers share one best-first frontier: which verification or
+  // signal synthesis finishes first changes from run to run.  The result
+  // must not: every thread count, and repeated runs at 4 threads, reproduce
+  // the serial fingerprint.  The serial work counters are pinned, proving
+  // the serial path verifies first, then synthesizes the smallest key's
+  // costliest signal, in the same order every time.  A round's workers
+  // hold at most 3 * (threads - 1) signals the serial order has not been
+  // shown to need, so each of the `rounds` rounds (one per target whose
+  // candidates were evaluated) synthesizes at most that many more than
+  // the serial order, under any schedule: at most 100 + 3 * 7 * 4 = 184 at
+  // 8 threads, within `parallel_signals`, the serial count before
+  // best-first resynthesis.  The serial count also stays within
+  // `partial_signals`, the count when the abandonment bound counted every
+  // signal not yet synthesized as zero.
   struct Workload {
     const char* name;
     StateGraph sg;
     long abandoned;
     long signals;
+    long rounds;
+    long parallel_signals;
     long partial_signals;
   };
   const Workload workloads[] = {
-      {"parallelizer(6)", bench::make_parallelizer(6).to_state_graph(), 21,
-       207, 351},
-      {"combo(5,3)", bench::make_combo(5, 3).to_state_graph(), 26, 207, 302},
+      {"parallelizer(6)", bench::make_parallelizer(6).to_state_graph(), 38,
+       100, 4, 207, 351},
+      {"combo(5,3)", bench::make_combo(5, 3).to_state_graph(), 38, 100, 4,
+       207, 302},
   };
   for (const Workload& w : workloads) {
     MapperOptions serial;
@@ -151,7 +161,15 @@ TEST(MapParallel, FusedEvaluationDeterministicUnderAnySchedule) {
     for (const int threads : {2, 3, 4, 8, 4, 4, 4, 4}) {
       MapperOptions opts = serial;
       opts.threads = threads;
-      EXPECT_EQ(fingerprint_of(technology_map(w.sg, opts)), ref)
+      const MapResult result = technology_map(w.sg, opts);
+      EXPECT_EQ(fingerprint_of(result), ref)
+          << w.name << " at " << threads << " map-threads";
+      EXPECT_LE(result.signals_synthesized,
+                w.signals + 3 * (threads - 1) * w.rounds)
+          << w.name << " at " << threads << " map-threads";
+      EXPECT_LE(result.signals_synthesized, w.parallel_signals)
+          << w.name << " at " << threads << " map-threads";
+      EXPECT_EQ(result.signals_useful, serial_result.signals_useful)
           << w.name << " at " << threads << " map-threads";
     }
   }
@@ -163,7 +181,9 @@ TEST(MapParallel, PrunedPreChecksThreadIdenticalAndStillImplementable) {
   // round boundaries, so for fixed options the result must stay
   // bit-identical across thread counts; it may commit different (equally
   // progress-making) divisors than the exhaustive loop, but never more
-  // resyntheses, and the mapped result must still be implementable.
+  // resyntheses, and the mapped result must still be implementable.  A
+  // round starts no more workers than its (at most 8) candidates, so even
+  // INT_MAX threads, which a serve request may ask for, maps this way.
   const StateGraph workloads[] = {
       bench::make_parallelizer(4).to_state_graph(),
       bench::make_combo(3, 3).to_state_graph(),
@@ -178,7 +198,7 @@ TEST(MapParallel, PrunedPreChecksThreadIdenticalAndStillImplementable) {
     const MapFingerprint ref = fingerprint_of(technology_map(sg, pruned));
     EXPECT_TRUE(ref.ok);
     EXPECT_LE(ref.resyntheses, full.resyntheses);
-    for (const int threads : {2, 4, 0}) {
+    for (const int threads : {2, 4, 0, std::numeric_limits<int>::max()}) {
       MapperOptions opts = pruned;
       opts.threads = threads;
       EXPECT_EQ(fingerprint_of(technology_map(sg, opts)), ref)
